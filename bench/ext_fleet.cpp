@@ -104,20 +104,7 @@ RunOut run_fleet(const Params& p, bool crash, const std::string& trace_out) {
     ports.push_back(static_cast<std::uint16_t>(8000 + i));
   }
 
-  std::vector<std::unique_ptr<fleet::PingServer>> servers;
-  for (std::size_t i = 0; i < fleet.backend_count(); ++i) {
-    fleet::FleetHost& b = fleet.backend(i);
-    auto s = std::make_unique<fleet::PingServer>(
-        fleet.sim, "ping" + std::to_string(b.id), *b.host, b.id);
-    s->pin(b.app_thread());
-    s->start(ports);
-    servers.push_back(std::move(s));
-  }
-  fleet.set_adoption_handler(
-      [&servers](fleet::FleetHost& to, StackReplica& rep,
-                 const std::vector<net::TcpSocketPtr>& adopted) {
-        servers[static_cast<std::size_t>(to.id)]->adopt(rep, adopted);
-      });
+  auto servers = fleet::start_ping_servers(fleet, ports);
 
   std::vector<std::unique_ptr<fleet::FleetClient>> clients;
   for (std::size_t j = 0; j < fleet.client_count(); ++j) {

@@ -17,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "sim/process.hpp"
 #include "sim/simulator.hpp"
-#include "sim/stats.hpp"
 #include "socklib/socket_api.hpp"
 
 namespace neat::apps {

@@ -58,6 +58,27 @@ void PingServer::start(const std::vector<std::uint16_t>& ports,
   }
 }
 
+std::vector<std::unique_ptr<PingServer>> start_ping_servers(
+    FleetCluster& fleet, const std::vector<std::uint16_t>& ports) {
+  std::vector<std::unique_ptr<PingServer>> servers;
+  std::vector<PingServer*> by_id;
+  for (std::size_t i = 0; i < fleet.backend_count(); ++i) {
+    FleetHost& b = fleet.backend(i);
+    auto s = std::make_unique<PingServer>(
+        fleet.sim, "ping" + std::to_string(b.id), *b.host, b.id);
+    s->pin(b.app_thread());
+    s->start(ports);
+    by_id.push_back(s.get());
+    servers.push_back(std::move(s));
+  }
+  fleet.set_adoption_handler(
+      [by_id](FleetHost& to, StackReplica& rep,
+              const std::vector<net::TcpSocketPtr>& adopted) {
+        by_id[static_cast<std::size_t>(to.id)]->adopt(rep, adopted);
+      });
+  return servers;
+}
+
 socklib::ConnCallbacks PingServer::callbacks() {
   socklib::ConnCallbacks cb;
   cb.on_readable = [this](socklib::Fd fd) { service(fd); };

@@ -76,6 +76,14 @@ class PingServer : public sim::Process {
   Stats stats_;
 };
 
+/// One PingServer per backend (standbys included: a host entering the
+/// table later must already be listening), pinned to the host's app thread
+/// and listening on `ports`; the cluster's adoption handler hands a
+/// drain's adopted sockets to the target host's server. Destroy the
+/// servers before the cluster.
+[[nodiscard]] std::vector<std::unique_ptr<PingServer>> start_ping_servers(
+    FleetCluster& fleet, const std::vector<std::uint16_t>& ports);
+
 class FleetClient : public sim::Process {
  public:
   struct Config {

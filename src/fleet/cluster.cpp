@@ -192,8 +192,8 @@ void FleetCluster::drain_host(std::size_t from, std::size_t to,
                          ",\"to\":" + std::to_string(st->dst->id)});
 
   // 2. Let frames already past the tier settle into the still-live source
-  //    stack, then 3. freeze + extract each source replica in its own TCP
-  //    context (charged like an intra-host migration freeze).
+  //    stack, then 3. extract each source replica (NeatHost's extract
+  //    half, charged like an intra-host migration freeze).
   st->pending_extracts = srcs.size();
   FleetCluster* self = this;
   sim.queue().post(cfg.drain_settle, [self, st, srcs = std::move(srcs)] {
@@ -201,83 +201,58 @@ void FleetCluster::drain_host(std::size_t from, std::size_t to,
       self->maybe_finish_drain(st);
       return;
     }
-    for (const auto& s : srcs) self->extract_and_ship(st, *s.rep, s.flows);
+    for (const auto& s : srcs) {
+      StackReplica* rep = s.rep;
+      st->src->host->extract_connections(
+          *rep, s.flows, [self, st, rep](net::TcpCheckpoint&& cp) {
+            self->adopt_on_target(st, *rep, std::move(cp));
+          });
+    }
   });
 }
 
-void FleetCluster::extract_and_ship(const std::shared_ptr<DrainState>& st,
-                                    StackReplica& rep,
-                                    std::size_t flow_count) {
-  const StackCosts& costs = cfg.costs;
-  const sim::Cycles freeze =
-      costs.migrate_base +
-      costs.migrate_per_conn * static_cast<sim::Cycles>(flow_count);
-  FleetCluster* self = this;
-  StackReplica* src_rep = &rep;
-  src_rep->tcp_process().post(freeze, [self, st, src_rep] {
-    auto cp = src_rep->tcp().extract_for_migration();
+void FleetCluster::adopt_on_target(const std::shared_ptr<DrainState>& st,
+                                   StackReplica& rep, net::TcpCheckpoint cp) {
+  auto& dep =
+      st->departed.emplace_back(&rep, std::vector<net::FlowKey>{}).second;
 
-    st->departed.emplace_back(src_rep, std::vector<net::FlowKey>{});
-    auto& dep = st->departed.back().second;
+  // 4. Split the checkpoint by the TARGET NIC's RSS verdict, so every
+  //    adopted flow's frames already steer to the replica adopting it, and
+  //    hand each piece to the target host's adopt half.
+  std::unordered_map<int, StackReplica*> by_queue;
+  for (auto* t : st->dst->host->active_replicas()) {
+    by_queue.emplace(t->queue(), t);
+  }
+  std::unordered_map<StackReplica*, net::TcpCheckpoint> subs;
+  for (auto& c : cp.conns) {
+    dep.push_back(c.flow);
+    st->moved.push_back(c.flow);
+    const int q = st->dst->nic->rss_queue(c.flow.remote_ip,
+                                          c.flow.remote_port,
+                                          c.flow.local_ip,
+                                          c.flow.local_port);
+    auto it = by_queue.find(q);
+    StackReplica* target =
+        it != by_queue.end() ? it->second : by_queue.begin()->second;
+    auto [sub, fresh] = subs.try_emplace(target);
+    if (fresh) sub->second.taken_at = cp.taken_at;
+    sub->second.conns.push_back(std::move(c));
+  }
 
-    // 4. Split the checkpoint by the TARGET NIC's RSS verdict, so every
-    //    adopted flow's frames already steer to the replica adopting it.
-    std::unordered_map<int, StackReplica*> by_queue;
-    for (auto* t : st->dst->host->active_replicas()) {
-      by_queue.emplace(t->queue(), t);
-    }
-    std::unordered_map<StackReplica*, std::shared_ptr<net::TcpCheckpoint>>
-        subs;
-    for (auto& c : cp.conns) {
-      dep.push_back(c.flow);
-      st->moved.push_back(c.flow);
-      const int q = st->dst->nic->rss_queue(c.flow.remote_ip,
-                                            c.flow.remote_port,
-                                            c.flow.local_ip,
-                                            c.flow.local_port);
-      auto it = by_queue.find(q);
-      StackReplica* target =
-          it != by_queue.end() ? it->second : by_queue.begin()->second;
-      auto& sub = subs[target];
-      if (!sub) {
-        sub = std::make_shared<net::TcpCheckpoint>();
-        sub->taken_at = cp.taken_at;
-      }
-      sub->conns.push_back(std::move(c));
-    }
-
-    const StackCosts& costs = self->cfg.costs;
-    for (auto& [target, sub] : subs) {
-      ++st->pending_adopts;
-      const sim::Cycles thaw =
-          costs.migrate_base +
-          costs.migrate_per_conn *
-              static_cast<sim::Cycles>(sub->conns.size()) +
-          costs.bytes_cost(sub->bytes());
-      StackReplica* t = target;
-      t->tcp_process().post(thaw, [self, st, t, sub] {
-        auto adopted = std::make_shared<std::vector<net::TcpSocketPtr>>(
-            t->tcp().adopt(*sub));
-        st->moved_count += adopted->size();
-        // Filters (when the target tracks flows) + app-side fd adoption
-        // run in the target's driver control context, like the repoint
-        // step of an intra-host migration.
-        st->dst->host->driver().control([self, st, t, sub, adopted] {
-          if (st->dst->nic->params().tracking_filters) {
-            for (const auto& c : sub->conns) {
-              st->dst->nic->add_flow_filter(c.flow, t->queue());
-            }
-          }
-          if (self->on_adopted_) self->on_adopted_(*st->dst, *t, *adopted);
+  for (auto& [target, sub] : subs) {
+    ++st->pending_adopts;
+    StackReplica* t = target;
+    st->dst->host->adopt_connections(
+        *t, std::move(sub), [this, st, t](const auto& adopted) {
+          st->moved_count += adopted.size();
+          if (on_adopted_) on_adopted_(*st->dst, *t, adopted);
           --st->pending_adopts;
-          self->maybe_finish_drain(st);
+          maybe_finish_drain(st);
         });
-      });
-    }
+  }
 
-    --st->pending_extracts;
-    self->maybe_finish_drain(st);
-  });
+  --st->pending_extracts;
+  maybe_finish_drain(st);
 }
 
 void FleetCluster::maybe_finish_drain(const std::shared_ptr<DrainState>& st) {

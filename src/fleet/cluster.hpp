@@ -148,12 +148,12 @@ class FleetCluster {
   ///      on the tier's client ports, and pull `from` out of the table
   ///      (no new SYNs; captured frames wait);
   ///   2. let in-flight frames settle into the still-live source stack;
-  ///   3. per source replica: freeze + extract in its TCP context;
-  ///   4. split each checkpoint by the TARGET NIC's RSS verdict and adopt
-  ///      each piece in the matching target replica's TCP context (so
-  ///      subsequent frames steer to the adopting replica with zero
-  ///      filter programming; exact filters are installed only when the
-  ///      target NIC runs tracking filters);
+  ///   3. per source replica: NeatHost::extract_connections on `from`;
+  ///   4. split each checkpoint by the TARGET NIC's RSS verdict and hand
+  ///      each piece to NeatHost::adopt_connections on `to` for the
+  ///      matching replica (so subsequent frames steer to the adopting
+  ///      replica with zero filter programming; exact filters are
+  ///      installed only when the target NIC runs tracking filters);
   ///   5. when everything is adopted: notify the source host's socket
   ///      libraries (kMigratedAway husks), repoint the tier conntrack to
   ///      `to`, close the capture window (replays buffered frames).
@@ -187,8 +187,9 @@ class FleetCluster {
   struct DrainState;
 
   std::unique_ptr<FleetHost> build_host(int id, bool is_client);
-  void extract_and_ship(const std::shared_ptr<DrainState>& st,
-                        StackReplica& rep, std::size_t flow_count);
+  /// Drain step 4, in `rep`'s TCP context right after its extract.
+  void adopt_on_target(const std::shared_ptr<DrainState>& st,
+                       StackReplica& rep, net::TcpCheckpoint cp);
   void maybe_finish_drain(const std::shared_ptr<DrainState>& st);
 
   std::unique_ptr<SteeringTier> tier_;

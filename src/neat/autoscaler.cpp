@@ -47,19 +47,13 @@ void AutoScaler::tick() {
   auto active = host_.active_replicas();
   double total = 0.0;
   double min_util = 2.0;
-  double max_util = -1.0;
   StackReplica* coldest = nullptr;
-  StackReplica* hottest = nullptr;
   for (auto* r : active) {
     const double u = utilization_of(*r, policy_.period);
     total += u;
     if (u < min_util) {
       min_util = u;
       coldest = r;
-    }
-    if (u > max_util) {
-      max_util = u;
-      hottest = r;
     }
   }
   last_util_ = active.empty() ? 0.0 : total / static_cast<double>(active.size());
@@ -92,24 +86,6 @@ void AutoScaler::tick() {
     } else if (last_util_ < policy_.scale_down_threshold &&
                active.size() > policy_.min_replicas && coldest != nullptr) {
       host_.begin_scale_down(*coldest);
-      if (policy_.migrate_on_scale_down) {
-        StackReplica* target = hottest != coldest ? hottest : nullptr;
-        if (target == nullptr) {
-          for (auto* r : active) {
-            if (r != coldest) {
-              target = r;
-              break;
-            }
-          }
-        }
-        if (target != nullptr) {
-          // Immediate drain: hand the coldest replica's established
-          // connections to the busiest survivor (it stays hot anyway) and
-          // let the next gc tick collect the now-empty replica.
-          host_.migrate_connections(*coldest, *target);
-          metrics.counter("autoscaler.migrating_scale_downs").inc();
-        }
-      }
       ++scale_downs_;
       metrics.counter("autoscaler.scale_downs").inc();
       last_action_ = now;

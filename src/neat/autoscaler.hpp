@@ -29,12 +29,6 @@ class AutoScaler {
     sim::SimTime period{50 * sim::kMillisecond};
     /// Settle time after any action before acting again.
     sim::SimTime cooldown{150 * sim::kMillisecond};
-    /// Scale down by live-migrating the coldest replica's established
-    /// connections onto the hottest remaining replica, so the drain is
-    /// immediate instead of waiting for clients to hang up (lazy
-    /// termination still collects the husk). Off by default: it needs
-    /// tracking filters, and lazy drain is the paper's baseline.
-    bool migrate_on_scale_down{false};
   };
 
   /// `spare_pins` are hardware-thread sets handed to add_replica() as

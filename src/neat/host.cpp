@@ -228,6 +228,44 @@ void NeatHost::begin_scale_down(StackReplica& replica) {
   note_replica_census();
 }
 
+void NeatHost::extract_connections(StackReplica& from, std::size_t conns,
+                                   ExtractedFn then) {
+  const sim::Cycles freeze =
+      config_.costs.migrate_base +
+      config_.costs.migrate_per_conn * static_cast<sim::Cycles>(conns);
+  StackReplica* src = &from;
+  src->tcp_process().post(freeze, [src, then = std::move(then)] {
+    then(src->tcp().extract_for_migration());
+  });
+}
+
+void NeatHost::adopt_connections(StackReplica& to, net::TcpCheckpoint cp,
+                                 AdoptedFn then) {
+  // The image crosses IPC: the thaw scales with the serialized bytes.
+  auto image = std::make_shared<const net::TcpCheckpoint>(std::move(cp));
+  const sim::Cycles thaw =
+      config_.costs.migrate_base +
+      config_.costs.migrate_per_conn *
+          static_cast<sim::Cycles>(image->conns.size()) +
+      config_.costs.bytes_cost(image->bytes());
+  StackReplica* dst = &to;
+  dst->tcp_process().post(thaw, [this, dst, image, then = std::move(then)] {
+    auto adopted = std::make_shared<std::vector<net::TcpSocketPtr>>(
+        dst->tcp().adopt(*image));
+    // Filters go in only now: a filter pointing at `dst` before adopt
+    // would deliver frames to a stack that does not know the flow yet
+    // (instant RST).
+    driver_->control([this, dst, image, adopted, then] {
+      if (nic_.params().tracking_filters) {
+        for (const auto& c : image->conns) {
+          nic_.add_flow_filter(c.flow, dst->queue());
+        }
+      }
+      then(*adopted);
+    });
+  });
+}
+
 void NeatHost::migrate_connections(StackReplica& from, StackReplica& to,
                                    std::function<void(std::size_t)> on_done) {
   assert(&from != &to);
@@ -239,64 +277,41 @@ void NeatHost::migrate_connections(StackReplica& from, StackReplica& to,
                  "neat: connection migration requires tracking filters\n");
     std::abort();
   }
-  NeatHost* self = this;
   StackReplica* src = &from;
   StackReplica* dst = &to;
   sim_.tracer().emit({sim_.now(), 0, "neat", "migrate_begin", 0, from.id(),
                       "\"to\":" + std::to_string(to.id())});
-  // 1. Open the NIC capture window (driver/control context). Keys are read
-  //    at the same instant the window opens so nothing slips past: every
-  //    frame for a moving flow from here on is buffered, not delivered.
-  driver_->control([self, src, dst, on_done = std::move(on_done)] {
-    auto keys = std::make_shared<std::vector<net::FlowKey>>();
+  // Open the NIC capture window (driver/control context). Keys are read
+  // at the same instant the window opens so nothing slips past: every
+  // frame for a moving flow from here on is buffered, not delivered.
+  driver_->control([this, src, dst, on_done = std::move(on_done)] {
+    std::vector<net::FlowKey> keys;
     src->tcp().for_each_connection(
-        [&](net::TcpSocket& s) { keys->push_back(s.flow()); });
-    self->nic_.begin_flow_capture(*keys);
-    const sim::SimTime t0 = self->sim_.now();
-    // 2. Freeze + extract in the source's TCP context, charged per conn.
-    const sim::Cycles freeze =
-        self->config_.costs.migrate_base +
-        self->config_.costs.migrate_per_conn *
-            static_cast<sim::Cycles>(keys->size());
-    src->tcp_process().post(freeze, [self, src, dst, t0, on_done] {
-      auto cp = std::make_shared<net::TcpCheckpoint>(
-          src->tcp().extract_for_migration());
-      // 3. Ship the image over IPC: the adopt cost lands in the target's
-      //    TCP context and scales with the serialized bytes.
-      const sim::Cycles thaw =
-          self->config_.costs.migrate_base +
-          self->config_.costs.migrate_per_conn *
-              static_cast<sim::Cycles>(cp->conns.size()) +
-          self->config_.costs.bytes_cost(cp->bytes());
-      dst->tcp_process().post(thaw, [self, src, dst, cp, t0, on_done] {
-        auto adopted = std::make_shared<std::vector<net::TcpSocketPtr>>(
-            dst->tcp().adopt(*cp));
-        // 4. Repoint the filters, then close the window and replay what it
-        //    buffered — strictly in this order, and only now: a filter
-        //    repointed before adopt would deliver frames to a stack that
-        //    does not know the flow yet (instant RST), and a replay before
-        //    the repoint would re-deliver to the drained source.
-        self->driver_->control([self, src, dst, cp, adopted, t0, on_done] {
-          for (const auto& c : cp->conns) {
-            self->nic_.add_flow_filter(c.flow, dst->queue());
-          }
-          self->nic_.end_flow_capture();
-          // 5. Socket libraries re-home their fd-attached sockets.
-          for (auto* l : self->listeners_) {
-            l->on_connections_migrated(*src, *dst, *adopted);
-          }
-          const sim::SimTime blackout = self->sim_.now() - t0;
-          self->metrics()
-              .histogram("neat.migration_blackout_ns")
-              .record(blackout);
-          self->metrics().counter("neat.migrations").inc();
-          self->sim_.tracer().emit(
-              {self->sim_.now(), 0, "neat", "migrate_done", 0, src->id(),
-               "\"to\":" + std::to_string(dst->id()) + ",\"conns\":" +
-                   std::to_string(cp->conns.size()) + ",\"blackout_ns\":" +
-                   std::to_string(blackout)});
-          if (on_done) on_done(cp->conns.size());
-        });
+        [&](net::TcpSocket& s) { keys.push_back(s.flow()); });
+    nic_.begin_flow_capture(keys);
+    const sim::SimTime t0 = sim_.now();
+    extract_connections(*src, keys.size(), [this, src, dst, t0, on_done](
+                                               net::TcpCheckpoint&& cp) {
+      const std::size_t moved = cp.conns.size();
+      adopt_connections(*dst, std::move(cp), [this, src, dst, t0, moved,
+                                              on_done](const auto& adopted) {
+        // The filters point at `dst` now: close the window and replay what
+        // it buffered. A replay before the repoint would re-deliver to the
+        // drained source.
+        nic_.end_flow_capture();
+        // Socket libraries re-home their fd-attached sockets.
+        for (auto* l : listeners_) {
+          l->on_connections_migrated(*src, *dst, adopted);
+        }
+        const sim::SimTime blackout = sim_.now() - t0;
+        metrics().histogram("neat.migration_blackout_ns").record(blackout);
+        metrics().counter("neat.migrations").inc();
+        sim_.tracer().emit(
+            {sim_.now(), 0, "neat", "migrate_done", 0, src->id(),
+             "\"to\":" + std::to_string(dst->id()) + ",\"conns\":" +
+                 std::to_string(moved) + ",\"blackout_ns\":" +
+                 std::to_string(blackout)});
+        if (on_done) on_done(moved);
       });
     });
   });

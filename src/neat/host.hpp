@@ -62,23 +62,15 @@ class ReplicaFailureListener {
   /// Established connections moved live from one replica to another
   /// (immediate scale-down drain). `adopted` are the target-side socket
   /// objects; libraries re-home the fd-attached sockets by flow match.
-  /// Defaulted so listeners that predate migration keep compiling.
   virtual void on_connections_migrated(
       StackReplica& from, StackReplica& to,
-      const std::vector<net::TcpSocketPtr>& adopted) {
-    (void)from;
-    (void)to;
-    (void)adopted;
-  }
+      const std::vector<net::TcpSocketPtr>& adopted) = 0;
   /// Established connections left this HOST entirely (cross-host drain in
   /// the fleet layer): there is no local target replica, the listed flows
   /// now live on another machine. Libraries deliver kMigratedAway upward
-  /// so applications drop the dead fds. Defaulted like the hook above.
-  virtual void on_connections_departed(StackReplica& from,
-                                       const std::vector<net::FlowKey>& flows) {
-    (void)from;
-    (void)flows;
-  }
+  /// so applications drop the dead fds.
+  virtual void on_connections_departed(
+      StackReplica& from, const std::vector<net::FlowKey>& flows) = 0;
 };
 
 /// One durable listen() record; replayed onto replicas after restart and
@@ -235,14 +227,36 @@ class NeatHost {
   /// garbage-collected when its connection count reaches zero.
   void begin_scale_down(StackReplica& replica);
 
+  // --- connection moves -------------------------------------------------------
+  // The two host-local halves of every connection move: intra-host live
+  // migration below, and the fleet's cross-host drain, which extracts on
+  // one host and adopts on another.
+
+  /// Extract half: charge the freeze (migrate_base + migrate_per_conn *
+  /// `conns`) in `from`'s TCP context, pull its ESTABLISHED connections
+  /// out silently (TcpStack::extract_for_migration) and hand the
+  /// checkpoint to `then` in that same job.
+  using ExtractedFn = std::function<void(net::TcpCheckpoint&&)>;
+  void extract_connections(StackReplica& from, std::size_t conns,
+                           ExtractedFn then);
+
+  /// Adopt half: charge the thaw (migrate_base + migrate_per_conn * n +
+  /// the image's byte cost) in `to`'s TCP context and recreate the
+  /// connections there (TcpStack::adopt); then, in one driver-control job
+  /// of this host, install an exact-match filter per flow on `to`'s queue
+  /// (when the NIC tracks flows) and run `then` with the adopted sockets.
+  using AdoptedFn =
+      std::function<void(const std::vector<net::TcpSocketPtr>&)>;
+  void adopt_connections(StackReplica& to, net::TcpCheckpoint cp,
+                         AdoptedFn then);
+
   /// Live connection migration: move every ESTABLISHED connection from
   /// `from` to `to` while both replicas are up, so a scale-down drains
   /// immediately instead of waiting for clients to hang up. Sequence:
-  /// open a NIC capture window for the moving flows, freeze+extract in
-  /// the source's TCP context, ship the image, adopt in the target's TCP
-  /// context, repoint the exact-match filters to the target's queue, then
-  /// close the window and replay the frames it buffered. `on_done` (if
-  /// set) fires with the number of connections moved; the blackout
+  /// open a NIC capture window for the moving flows, extract from `from`,
+  /// adopt into `to` (which repoints the flows' filters to its queue),
+  /// then close the window and replay the frames it buffered. `on_done`
+  /// (if set) fires with the number of connections moved; the blackout
   /// (capture open -> replay) lands in the "neat.migration_blackout_ns"
   /// histogram. Requires tracking filters (the repoint is the mechanism).
   void migrate_connections(StackReplica& from, StackReplica& to,

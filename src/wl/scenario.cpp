@@ -9,7 +9,6 @@
 
 #include "fleet/app.hpp"
 #include "fleet/cluster.hpp"
-#include "fleet/fleet_autoscaler.hpp"
 #include "fleet/obs_merge.hpp"
 #include "harness/testbed.hpp"
 #include "socklib/socklib.hpp"
@@ -36,12 +35,11 @@ struct ClientSide {
 
 /// Multi-host branch of run_scenario(): a FleetCluster behind the steering
 /// tier, PingServers on every backend, FleetClients ramping the connection
-/// population, optional mid-run host crash and fleet autoscaling.
+/// population and an optional mid-run host crash.
 ScenarioResult run_fleet_scenario(const Scenario& sc) {
   fleet::FleetConfig fc;
   fc.seed = sc.seed;
   fc.backends = sc.fleet_hosts;
-  fc.standbys = sc.fleet_standbys;
   fc.clients = sc.fleet_clients;
   fc.replicas_per_backend = sc.fleet_replicas_per_host;
   fc.replicas_per_client = sc.client_replicas;
@@ -52,24 +50,9 @@ ScenarioResult run_fleet_scenario(const Scenario& sc) {
     ports.push_back(static_cast<std::uint16_t>(harness::kBasePort + p));
   }
 
-  // One PingServer per backend (standbys included: a host entering the
-  // table later must already be listening), one FleetClient per client
-  // machine, everything destroyed before the cluster.
-  std::vector<std::unique_ptr<fleet::PingServer>> servers;
-  for (std::size_t i = 0; i < fleet.backend_count(); ++i) {
-    fleet::FleetHost& b = fleet.backend(i);
-    auto s = std::make_unique<fleet::PingServer>(
-        fleet.sim, "ping" + std::to_string(b.id), *b.host, b.id);
-    s->pin(b.app_thread());
-    s->start(ports);
-    servers.push_back(std::move(s));
-  }
-  fleet.set_adoption_handler(
-      [&servers](fleet::FleetHost& to, StackReplica& rep,
-                 const std::vector<net::TcpSocketPtr>& adopted) {
-        servers[static_cast<std::size_t>(to.id)]->adopt(rep, adopted);
-      });
-
+  // One PingServer per backend and one FleetClient per client machine,
+  // everything destroyed before the cluster.
+  auto servers = fleet::start_ping_servers(fleet, ports);
   std::vector<std::unique_ptr<fleet::FleetClient>> clients;
   const auto n_clients = static_cast<std::uint64_t>(fleet.client_count());
   for (std::size_t j = 0; j < fleet.client_count(); ++j) {
@@ -84,11 +67,6 @@ ScenarioResult run_fleet_scenario(const Scenario& sc) {
     clients.push_back(std::move(cl));
   }
 
-  std::unique_ptr<fleet::FleetAutoScaler> scaler;
-  if (sc.fleet_autoscale) {
-    scaler = std::make_unique<fleet::FleetAutoScaler>(fleet);
-    scaler->start();
-  }
   fleet.start_health_probing();
 
   if (sc.fleet_crash_host >= 0) {
@@ -118,11 +96,6 @@ ScenarioResult run_fleet_scenario(const Scenario& sc) {
   }
   for (const auto& s : servers) {
     res.fleet_requests_served += s->app_stats().requests;
-  }
-  if (scaler) {
-    res.fleet_host_activations = scaler->host_activations();
-    res.fleet_host_drains = scaler->host_drains();
-    scaler->stop();
   }
   res.fleet_backends_declared_down =
       fleet.steering().stats().backends_declared_down;

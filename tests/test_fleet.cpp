@@ -151,21 +151,8 @@ TEST(ObsMerge, CountersGaugesAndHistogramsFold) {
 // ---------------------------------------------------------------------------
 
 struct FleetRig {
-  explicit FleetRig(FleetConfig cfg) : fleet(std::move(cfg)) {
-    for (std::size_t i = 0; i < fleet.backend_count(); ++i) {
-      FleetHost& b = fleet.backend(i);
-      auto s = std::make_unique<PingServer>(
-          fleet.sim, "ping" + std::to_string(b.id), *b.host, b.id);
-      s->pin(b.app_thread());
-      s->start(ports);
-      servers.push_back(std::move(s));
-    }
-    fleet.set_adoption_handler(
-        [this](FleetHost& to, StackReplica& rep,
-               const std::vector<net::TcpSocketPtr>& adopted) {
-          servers[static_cast<std::size_t>(to.id)]->adopt(rep, adopted);
-        });
-  }
+  explicit FleetRig(FleetConfig cfg)
+      : fleet(std::move(cfg)), servers(start_ping_servers(fleet, ports)) {}
 
   void add_client(FleetClient::Config cc) {
     const std::size_t j = clients.size();
@@ -391,6 +378,58 @@ TEST(FleetCluster, DrainMovesEveryConnectionAndServiceContinues) {
   // listeners; it simply has no connections).
   rig.fleet.activate_backend(0);
   EXPECT_TRUE(rig.fleet.steering().has_backend(0));
+}
+
+TEST(FleetCluster, DrainOntoATrackingNicFiltersEveryMovedFlow) {
+  FleetConfig fc = small_cluster(2, 1);
+  fc.backend_nic.tracking_filters = true;
+  FleetRig rig(std::move(fc));
+  rig.add_client(pinger_heavy(64));
+  rig.start_and_run(200 * sim::kMillisecond);
+
+  std::vector<net::FlowKey> flows;
+  for (auto* r : rig.fleet.backend(0).host->serving_replicas()) {
+    r->tcp().for_each_connection(
+        [&](net::TcpSocket& s) { flows.push_back(s.flow()); });
+  }
+  ASSERT_FALSE(flows.empty());
+  nic::Nic& dst_nic = *rig.fleet.backend(1).nic;
+  const std::size_t filters_before = dst_nic.flow_filter_count();
+
+  std::size_t moved = 0;
+  rig.fleet.drain_host(0, 1, [&moved](std::size_t n) { moved = n; });
+  rig.fleet.sim.run_for(100 * sim::kMillisecond);
+  EXPECT_EQ(moved, flows.size());
+
+  // One exact-match filter per moved flow, steering to the replica that
+  // adopted it.
+  EXPECT_EQ(dst_nic.flow_filter_count(), filters_before + flows.size());
+  NeatHost& dst = *rig.fleet.backend(1).host;
+  std::vector<std::size_t> adopted(dst.replica_count(), 0);
+  for (const auto& f : flows) {
+    int owner = -1;
+    for (std::size_t i = 0; i < dst.replica_count(); ++i) {
+      dst.replica(i).tcp().for_each_connection([&](net::TcpSocket& s) {
+        if (s.flow() == f) owner = static_cast<int>(i);
+      });
+    }
+    ASSERT_GE(owner, 0);
+    ++adopted[static_cast<std::size_t>(owner)];
+    const auto q = dst_nic.flow_filter(f);
+    ASSERT_TRUE(q.has_value());
+    EXPECT_EQ(*q, dst.replica(static_cast<std::size_t>(owner)).queue());
+  }
+
+  EXPECT_EQ(rig.clients[0]->app_stats().closed_reset, 0u);
+  const obs::Histogram* blackout =
+      rig.fleet.sim.obs().metrics.find_histogram("fleet.drain_blackout_ns");
+  ASSERT_NE(blackout, nullptr);
+  ASSERT_EQ(blackout->count(), 1u);
+
+  // Pinned values: the move is seed-deterministic, so the blackout and the
+  // RSS split across the adopting replicas are exact.
+  EXPECT_EQ(blackout->max(), 42915u);
+  EXPECT_EQ(adopted, (std::vector<std::size_t>{19, 15}));
 }
 
 // ---------------------------------------------------------------------------
