@@ -298,8 +298,8 @@ void ClientRig::mark() {
   for (auto& g : gens) g->mark();
 }
 
-ClientRig::Aggregate ClientRig::aggregate(sim::SimTime window) const {
-  Aggregate a;
+RunResult ClientRig::aggregate(sim::SimTime window) const {
+  RunResult a;
   std::uint64_t bytes = 0;
   // Merge the per-generator histograms so the percentiles come from one
   // combined distribution (max-of-p99s across generators is not a p99).
@@ -334,19 +334,7 @@ RunResult run_window(Testbed& tb, ClientRig& client, sim::SimTime warmup,
   tb.sim.run_for(warmup);
   client.mark();
   tb.sim.run_for(measure);
-  const auto agg = client.aggregate(measure);
-  RunResult r;
-  r.krps = agg.krps;
-  r.mbps = agg.mbps;
-  r.mean_latency_ms = agg.mean_latency_ms;
-  r.p50_latency_ms = agg.p50_latency_ms;
-  r.p95_latency_ms = agg.p95_latency_ms;
-  r.p99_latency_ms = agg.p99_latency_ms;
-  r.p999_latency_ms = agg.p999_latency_ms;
-  r.requests = agg.requests;
-  r.error_conns = agg.error_conns;
-  r.clean_conns = agg.clean_conns;
-  return r;
+  return client.aggregate(measure);
 }
 
 void prepopulate_arp(ServerRig& server, ClientRig& client) {

@@ -224,38 +224,7 @@ struct ClientOptions {
   net::TcpConfig tcp{};
 };
 
-struct ClientRig {
-  /// Teardown-order witness (first member; see ServerRig).
-  TestbedDependent testbed_token;
-  std::unique_ptr<NeatHost> host;
-  std::vector<std::unique_ptr<apps::LoadGen>> gens;
-
-  /// Reset all measurement windows.
-  void mark();
-
-  struct Aggregate {
-    double krps{0.0};
-    double mbps{0.0};
-    double mean_latency_ms{0.0};
-    double p50_latency_ms{0.0};
-    double p95_latency_ms{0.0};
-    double p99_latency_ms{0.0};
-    double p999_latency_ms{0.0};
-    std::uint64_t requests{0};
-    std::uint64_t error_conns{0};
-    std::uint64_t clean_conns{0};
-  };
-  [[nodiscard]] Aggregate aggregate(sim::SimTime window) const;
-};
-
-/// Build the client: generator i targets port kBasePort + (i % num_ports).
-[[nodiscard]] ClientRig build_client(Testbed& tb, ClientOptions opt,
-                                     int num_ports);
-
-// ---------------------------------------------------------------------------
-// Experiment runner
-// ---------------------------------------------------------------------------
-
+/// One measurement window's client-side totals.
 struct RunResult {
   double krps{0.0};
   double mbps{0.0};
@@ -268,6 +237,27 @@ struct RunResult {
   std::uint64_t error_conns{0};
   std::uint64_t clean_conns{0};
 };
+
+struct ClientRig {
+  /// Teardown-order witness (first member; see ServerRig).
+  TestbedDependent testbed_token;
+  std::unique_ptr<NeatHost> host;
+  std::vector<std::unique_ptr<apps::LoadGen>> gens;
+
+  /// Reset all measurement windows.
+  void mark();
+
+  /// Rates and merged latency quantiles over the window since mark().
+  [[nodiscard]] RunResult aggregate(sim::SimTime window) const;
+};
+
+/// Build the client: generator i targets port kBasePort + (i % num_ports).
+[[nodiscard]] ClientRig build_client(Testbed& tb, ClientOptions opt,
+                                     int num_ports);
+
+// ---------------------------------------------------------------------------
+// Experiment runner
+// ---------------------------------------------------------------------------
 
 /// Warm up, open a measurement window, report rates over it.
 RunResult run_window(Testbed& tb, ClientRig& client, sim::SimTime warmup,

@@ -16,7 +16,6 @@ Supervisor::~Supervisor() {
 }
 
 void Supervisor::watch_replica(StackReplica& r) {
-  if (!cfg_.enabled) return;
   auto add = [this, &r](Component c) {
     sim::Process* p = r.component(c);
     assert(p != nullptr);
@@ -50,7 +49,6 @@ void Supervisor::unwatch_replica(StackReplica& r) {
 }
 
 void Supervisor::watch_driver() {
-  if (!cfg_.enabled) return;
   auto w = std::make_unique<Watch>();
   w->replica = nullptr;
   w->proc = &host_.driver();
@@ -166,8 +164,7 @@ void Supervisor::handle_replica_death(Watch& w, std::size_t event_idx) {
     ev.recovered_at = host_.simulator().now();
     ++stats_.quarantines;
     host_.quarantine_replica(rep);  // destroys `w`
-    if (cfg_.replace_quarantined &&
-        host_.spawn_replacement(rep) != nullptr) {
+    if (host_.spawn_replacement(rep) != nullptr) {
       ++stats_.replacements;
       // The replacement's spawn is part of handling this failure.
       host_.event(event_idx).action = "replace";

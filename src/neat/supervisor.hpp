@@ -11,8 +11,8 @@
 //    delay (base = NeatHost::Config::restart_delay), so a component that
 //    dies immediately after every restart consumes bounded resources;
 //  * a replica that crash-loops `quarantine_after` consecutive times is
-//    quarantined — removed from steering permanently — and, policy
-//    permitting, replaced by a freshly spawned replica on the same cores;
+//    quarantined — removed from steering permanently — and, where the
+//    host can spawn one, replaced by a fresh replica on the same cores;
 //  * a replica that crashes while draining under lazy termination (§3.4)
 //    is either collected immediately (its TCP state is gone, nothing left
 //    to drain) or restarted to finish draining — it never rejoins the
@@ -37,9 +37,6 @@ namespace neat {
 class NeatHost;
 
 struct SupervisionConfig {
-  /// Master switch; off reverts to "crashes stay down until someone calls
-  /// NeatHost::recover_replica by hand" (unit tests of the crash state).
-  bool enabled{true};
   /// Probe cadence and the silence that declares a component dead.
   /// Detection latency is bounded by watchdog_timeout + heartbeat_period.
   sim::SimTime heartbeat_period{5 * sim::kMillisecond};
@@ -54,8 +51,6 @@ struct SupervisionConfig {
   int quarantine_after{4};
   /// Uptime that resets the consecutive-crash counter to zero.
   sim::SimTime stability_window{80 * sim::kMillisecond};
-  /// Spawn a replacement replica (same pins) when quarantining.
-  bool replace_quarantined{true};
 };
 
 class Supervisor {

@@ -2,14 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
-#include "fleet/app.hpp"
-#include "fleet/cluster.hpp"
-#include "fleet/obs_merge.hpp"
 #include "harness/testbed.hpp"
 #include "socklib/socklib.hpp"
 
@@ -19,102 +14,13 @@ namespace {
 
 constexpr sim::SimTime kTimelineSample = 25 * sim::kMillisecond;
 
-/// Client half of a scenario (token first: must die before the Testbed).
-struct ClientSide {
-  harness::TestbedDependent token;
-  std::unique_ptr<NeatHost> host;
-  std::vector<std::unique_ptr<OpenLoopClient>> tenants;
-  std::vector<std::unique_ptr<SynFlood>> floods;
-  std::vector<std::unique_ptr<Slowloris>> loris;
-  std::vector<std::unique_ptr<ChurnStorm>> storms;
-};
-
 [[nodiscard]] double ms(std::uint64_t ns) {
   return static_cast<double>(ns) / 1e6;
-}
-
-/// Multi-host branch of run_scenario(): a FleetCluster behind the steering
-/// tier, PingServers on every backend, FleetClients ramping the connection
-/// population and an optional mid-run host crash.
-ScenarioResult run_fleet_scenario(const Scenario& sc) {
-  fleet::FleetConfig fc;
-  fc.seed = sc.seed;
-  fc.backends = sc.fleet_hosts;
-  fc.clients = sc.fleet_clients;
-  fc.replicas_per_backend = sc.fleet_replicas_per_host;
-  fc.replicas_per_client = sc.client_replicas;
-  fleet::FleetCluster fleet(fc);
-
-  std::vector<std::uint16_t> ports;
-  for (int p = 0; p < sc.fleet_ports; ++p) {
-    ports.push_back(static_cast<std::uint16_t>(harness::kBasePort + p));
-  }
-
-  // One PingServer per backend and one FleetClient per client machine,
-  // everything destroyed before the cluster.
-  auto servers = fleet::start_ping_servers(fleet, ports);
-  std::vector<std::unique_ptr<fleet::FleetClient>> clients;
-  const auto n_clients = static_cast<std::uint64_t>(fleet.client_count());
-  for (std::size_t j = 0; j < fleet.client_count(); ++j) {
-    fleet::FleetHost& c = fleet.client(j);
-    fleet::FleetClient::Config cc;
-    cc.vip = fleet.config().steering.vip;
-    cc.ports = ports;
-    cc.total_conns = sc.fleet_conns / n_clients;
-    auto cl = std::make_unique<fleet::FleetClient>(
-        fleet.sim, "fleetcli" + std::to_string(j), *c.host, cc);
-    cl->pin(c.app_thread());
-    clients.push_back(std::move(cl));
-  }
-
-  fleet.start_health_probing();
-
-  if (sc.fleet_crash_host >= 0) {
-    const auto victim = static_cast<std::size_t>(sc.fleet_crash_host);
-    fleet.sim.queue().schedule(sc.fleet_crash_at,
-                               [&fleet, victim] { fleet.crash_host(victim); });
-  }
-
-  for (auto& cl : clients) cl->start();
-  fleet.sim.run_for(sc.warmup);
-  for (auto& cl : clients) cl->mark();
-  fleet.sim.run_for(sc.measure);
-
-  // --- collect ------------------------------------------------------------
-  ScenarioResult res;
-  res.name = sc.name;
-  for (std::size_t i = 0; i < fleet.backend_count(); ++i) {
-    if (fleet.steering().has_backend(fleet.backend(i).id)) {
-      ++res.fleet_hosts_up_end;
-    }
-  }
-  for (const auto& cl : clients) {
-    const auto& st = cl->app_stats();
-    res.fleet_established += st.connected;
-    res.fleet_responses += st.responses;
-    res.fleet_lost_conns += st.closed_reset + st.closed_other;
-  }
-  for (const auto& s : servers) {
-    res.fleet_requests_served += s->app_stats().requests;
-  }
-  res.fleet_backends_declared_down =
-      fleet.steering().stats().backends_declared_down;
-
-  std::vector<const obs::Hub*> client_hubs;
-  for (std::size_t j = 0; j < fleet.client_count(); ++j) {
-    client_hubs.push_back(fleet.client(j).hub.get());
-  }
-  const obs::Histogram rtt =
-      fleet::merged_histogram(client_hubs, "fleet.rtt_ns");
-  res.fleet_rtt_p50_ms = ms(rtt.quantile(0.50));
-  res.fleet_rtt_p99_ms = ms(rtt.quantile(0.99));
-  return res;
 }
 
 }  // namespace
 
 ScenarioResult run_scenario(const Scenario& sc) {
-  if (sc.fleet_hosts > 0) return run_fleet_scenario(sc);
   harness::Testbed::Config cfg;
   cfg.seed = sc.seed;
   harness::Testbed tb(cfg);
@@ -122,33 +28,16 @@ ScenarioResult run_scenario(const Scenario& sc) {
   const int n_tenants = std::max<int>(1, static_cast<int>(sc.tenants.size()));
 
   // --- server rig: system cores 0-2, replicas, autoscaler spares, webs ----
-  harness::Placement pl;
-  pl.os = {0, 0};
-  pl.syscall = {1, 0};
-  pl.driver = {2, 0};
-  int core = 3;
-  for (int r = 0; r < sc.replicas; ++r) {
-    if (sc.multi_component) {
-      pl.replicas.push_back({{core, 0}, {core + 1, 0}});
-      core += 2;
-    } else {
-      pl.replicas.push_back({{core, 0}});
-      ++core;
-    }
-  }
+  // The spares take the first web slots of the AMD placement.
+  const int n_spares = sc.autoscale ? sc.spare_replica_slots : 0;
+  harness::Placement pl = harness::amd_placement(
+      sc.multi_component, sc.replicas, n_spares + n_tenants);
   std::vector<std::vector<sim::HwThread*>> spares;
-  if (sc.autoscale) {
-    for (int s = 0; s < sc.spare_replica_slots; ++s) {
-      assert(core < tb.server_machine.cores());
-      spares.push_back({&tb.server_machine.thread(core)});
-      ++core;
-    }
+  for (int s = 0; s < n_spares; ++s) {
+    const auto& slot = pl.webs[static_cast<std::size_t>(s)];
+    spares.push_back({&tb.server_machine.thread(slot.core, slot.thread)});
   }
-  for (int w = 0; w < n_tenants; ++w) {
-    assert(core < tb.server_machine.cores());
-    pl.webs.push_back({core, 0});
-    ++core;
-  }
+  pl.webs.erase(pl.webs.begin(), pl.webs.begin() + n_spares);
 
   // Per-tenant file catalogs: sizes drawn once, deterministically, from the
   // tenant's SizeModel, so the byte mix is heavy-tailed but the FileStore
@@ -188,32 +77,22 @@ ScenarioResult run_scenario(const Scenario& sc) {
     scaler->start();
   }
 
-  // --- client side --------------------------------------------------------
-  ClientSide cs;
-  cs.token = tb.depend();
-  NeatHost::Config hc;
-  hc.kind = NeatHost::Config::Kind::kSingle;
-  // Distinct host id: the census gauges are keyed per host, so the client
-  // host no longer clobbers the server's replica counts.
-  hc.host_id = 1;
-  // Open-loop generators + churn storms recycle ephemeral ports fast;
-  // mirror build_client()'s tcp_tw_reuse-style client tuning.
-  hc.tcp.time_wait = 50 * sim::kMillisecond;
-  cs.host = std::make_unique<NeatHost>(tb.sim, tb.client_machine,
-                                       tb.client_nic, hc);
+  // --- client side: the harness client host, generators added below ----
+  harness::ClientOptions co;
+  co.stack_replicas = sc.client_replicas;
+  co.generators = 0;
+  harness::ClientRig client = harness::build_client(tb, co, n_tenants);
   auto& cm = tb.client_machine;
-  const int total_client_procs =
-      3 + sc.client_replicas + n_tenants +
-      static_cast<int>(sc.adversaries.size());
-  assert(total_client_procs <= cm.cores() && "client machine out of cores");
-  (void)total_client_procs;
-  cs.host->os_process().pin(cm.thread(0));
-  cs.host->syscall().pin(cm.thread(1));
-  cs.host->driver().pin(cm.thread(2));
-  for (int r = 0; r < sc.client_replicas; ++r) {
-    cs.host->add_replica({&cm.thread(3 + r)});
-  }
+  assert(3 + sc.client_replicas + n_tenants +
+                 static_cast<int>(sc.adversaries.size()) <=
+             cm.cores() &&
+         "client machine out of cores");
   int client_core = 3 + sc.client_replicas;
+  // Declared after the client rig: they hold sockets on its host.
+  std::vector<std::unique_ptr<OpenLoopClient>> tenants;
+  std::vector<std::unique_ptr<SynFlood>> floods;
+  std::vector<std::unique_ptr<Slowloris>> loris;
+  std::vector<std::unique_ptr<ChurnStorm>> storms;
 
   for (std::size_t i = 0; i < sc.tenants.size(); ++i) {
     const TenantSpec& t = sc.tenants[i];
@@ -229,8 +108,8 @@ ScenarioResult run_scenario(const Scenario& sc) {
     oc.slo = t.slo;
     auto cl = std::make_unique<OpenLoopClient>(tb.sim, "wl-" + t.name, oc);
     cl->pin(cm.thread(client_core++));
-    cl->attach_api(std::make_unique<socklib::SockLib>(*cl, *cs.host));
-    cs.tenants.push_back(std::move(cl));
+    cl->attach_api(std::make_unique<socklib::SockLib>(*cl, *client.host));
+    tenants.push_back(std::move(cl));
   }
 
   for (const AdversarySpec& a : sc.adversaries) {
@@ -251,7 +130,7 @@ ScenarioResult run_scenario(const Scenario& sc) {
         proc = f.get();
         go = [p = f.get()] { p->start(); };
         halt = [p = f.get()] { p->stop(); };
-        cs.floods.push_back(std::move(f));
+        floods.push_back(std::move(f));
         break;
       }
       case AdversarySpec::Kind::kSlowloris: {
@@ -259,11 +138,11 @@ ScenarioResult run_scenario(const Scenario& sc) {
         lc.server = target;
         lc.connections = a.connections;
         auto l = std::make_unique<Slowloris>(tb.sim, "slowloris", lc);
-        l->attach_api(std::make_unique<socklib::SockLib>(*l, *cs.host));
+        l->attach_api(std::make_unique<socklib::SockLib>(*l, *client.host));
         proc = l.get();
         go = [p = l.get()] { p->start(); };
         halt = [p = l.get()] { p->stop(); };
-        cs.loris.push_back(std::move(l));
+        loris.push_back(std::move(l));
         break;
       }
       case AdversarySpec::Kind::kChurnStorm: {
@@ -272,11 +151,11 @@ ScenarioResult run_scenario(const Scenario& sc) {
         cc.rate = a.rate;
         cc.request_before_close = a.request_before_close;
         auto s = std::make_unique<ChurnStorm>(tb.sim, "churn", cc);
-        s->attach_api(std::make_unique<socklib::SockLib>(*s, *cs.host));
+        s->attach_api(std::make_unique<socklib::SockLib>(*s, *client.host));
         proc = s.get();
         go = [p = s.get()] { p->start(); };
         halt = [p = s.get()] { p->stop(); };
-        cs.storms.push_back(std::move(s));
+        storms.push_back(std::move(s));
         break;
       }
     }
@@ -288,16 +167,7 @@ ScenarioResult run_scenario(const Scenario& sc) {
   // Static ARP, as on a real point-to-point testbed. Replicas the
   // AutoScaler spawns later resolve on demand (their ARP request transits
   // the link like any other frame).
-  const net::MacAddr server_mac = net::MacAddr::local(1);
-  const net::MacAddr client_mac = net::MacAddr::local(2);
-  for (std::size_t i = 0; i < server.neat->replica_count(); ++i) {
-    server.neat->replica(i).ip_layer_ref().arp().insert(harness::kClientIp,
-                                                        client_mac);
-  }
-  for (std::size_t i = 0; i < cs.host->replica_count(); ++i) {
-    cs.host->replica(i).ip_layer_ref().arp().insert(harness::kServerIp,
-                                                    server_mac);
-  }
+  harness::prepopulate_arp(server, client);
 
   // Replica-count timeline, sampled from the server host. (The census
   // gauges are now keyed per host id, so reading the host directly and
@@ -307,36 +177,25 @@ ScenarioResult run_scenario(const Scenario& sc) {
   res.name = sc.name;
   const sim::SimTime horizon = sc.warmup + sc.measure;
   NeatHost* shost = server.neat.get();
-  const bool debug = std::getenv("WL_DEBUG") != nullptr;
   for (sim::SimTime t = 0; t <= horizon; t += kTimelineSample) {
-    tb.sim.queue().schedule(t, [&tb, &res, shost, debug] {
+    tb.sim.queue().schedule(t, [&tb, &res, shost] {
       res.replica_timeline.emplace_back(tb.sim.now(),
                                         shost->serving_replicas().size());
       res.server_flow_filters_peak =
           std::max<std::uint64_t>(res.server_flow_filters_peak,
                                   tb.server_nic.flow_filter_count());
-      if (debug) {
-        const obs::Gauge* u =
-            tb.sim.metrics().find_gauge("autoscaler.mean_utilization");
-        std::printf("[wl] t=%llums serving=%zu active=%zu util=%.3f\n",
-                    static_cast<unsigned long long>(tb.sim.now() /
-                                                    sim::kMillisecond),
-                    shost->serving_replicas().size(),
-                    shost->active_replicas().size(),
-                    u != nullptr ? u->value() : -1.0);
-      }
     });
   }
 
-  for (auto& t : cs.tenants) t->start();
+  for (auto& t : tenants) t->start();
   tb.sim.run_for(sc.warmup);
-  for (auto& t : cs.tenants) t->mark();
+  for (auto& t : tenants) t->mark();
   tb.sim.run_for(sc.measure);
 
   // --- collect ------------------------------------------------------------
   const double secs = sim::to_seconds(sc.measure);
-  for (std::size_t i = 0; i < cs.tenants.size(); ++i) {
-    const auto& rep = cs.tenants[i]->report();
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    const auto& rep = tenants[i]->report();
     TenantResult tr;
     tr.name = sc.tenants[i].name;
     tr.sessions_started = rep.sessions_started;
@@ -371,9 +230,9 @@ ScenarioResult run_scenario(const Scenario& sc) {
       c != nullptr) {
     res.lazy_terminations = c->value();
   }
-  for (const auto& f : cs.floods) res.syns_sent += f->stats().syns_sent;
-  for (const auto& s : cs.storms) res.churn_conns += s->stats().opened;
-  for (const auto& l : cs.loris) {
+  for (const auto& f : floods) res.syns_sent += f->stats().syns_sent;
+  for (const auto& s : storms) res.churn_conns += s->stats().opened;
+  for (const auto& l : loris) {
     res.slowloris_held += l->held();
     res.slowloris_shed += l->stats().conns_lost;
   }
@@ -395,10 +254,10 @@ ScenarioResult run_scenario(const Scenario& sc) {
   }
 
   // Quiesce generation before teardown so no adversary keeps re-arming.
-  for (auto& t : cs.tenants) t->stop();
-  for (auto& f : cs.floods) f->stop();
-  for (auto& l : cs.loris) l->stop();
-  for (auto& s : cs.storms) s->stop();
+  for (auto& t : tenants) t->stop();
+  for (auto& f : floods) f->stop();
+  for (auto& l : loris) l->stop();
+  for (auto& s : storms) s->stop();
   if (scaler) scaler->stop();
   return res;
 }
@@ -569,24 +428,6 @@ Scenario churn_storm(bool quick) {
   return sc;
 }
 
-Scenario fleet_crash(bool quick) {
-  Scenario sc;
-  sc.name = "fleet_crash";
-  sc.seed = 7;
-  sc.fleet_hosts = quick ? 3 : 4;
-  sc.fleet_clients = 2;
-  sc.fleet_replicas_per_host = 2;
-  sc.fleet_conns = quick ? 4000 : 20000;
-  sc.fleet_ports = 8;
-  sc.warmup = 250 * sim::kMillisecond;
-  sc.measure = quick ? 500 * sim::kMillisecond : 900 * sim::kMillisecond;
-  // Kill one backend mid-window: the prober evicts it, its flows die, every
-  // other backend keeps serving.
-  sc.fleet_crash_host = 0;
-  sc.fleet_crash_at = sc.warmup + 150 * sim::kMillisecond;
-  return sc;
-}
-
 }  // namespace
 
 const std::vector<NamedScenario>& builtin_scenarios() {
@@ -603,8 +444,6 @@ const std::vector<NamedScenario>& builtin_scenarios() {
       {"slowloris", "slow-header connection hoarding", slowloris},
       {"churn_storm", "open/close churn against steering + filters",
        churn_storm},
-      {"fleet_crash", "multi-host cluster: mid-run backend crash behind "
-       "the maglev tier", fleet_crash},
   };
   return kScenarios;
 }

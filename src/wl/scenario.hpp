@@ -3,10 +3,11 @@
 // A Scenario declares tenants (each with its own port, arrival process,
 // session shape, size mix and SLO — several services multiplexed onto one
 // NEaT host) plus optional adversaries and autoscaling. run_scenario()
-// assembles the two-machine testbed, drives the whole thing, and returns
-// per-tenant CO-corrected results plus a replica-count timeline, so a bench
-// can show the AutoScaler riding a flash crowd and a SYN flood's collateral
-// damage as numbers rather than anecdotes.
+// assembles the two-machine testbed from the harness builders, drives the
+// whole thing, and returns per-tenant CO-corrected results plus a
+// replica-count timeline, so a bench can show the AutoScaler riding a flash
+// crowd and a SYN flood's collateral damage as numbers rather than
+// anecdotes.
 #pragma once
 
 #include <cstdint>
@@ -73,19 +74,6 @@ struct Scenario {
   int client_replicas{4};
   std::vector<TenantSpec> tenants;
   std::vector<AdversarySpec> adversaries;
-
-  // --- fleet topology (fleet_hosts > 0 switches run_scenario() from the
-  // --- two-machine testbed to a multi-host cluster behind the maglev
-  // --- steering tier; tenants/adversaries above are then unused) ----------
-  int fleet_hosts{0};      ///< backend hosts in the steering table
-  int fleet_clients{2};    ///< client machines
-  int fleet_replicas_per_host{2};
-  std::uint64_t fleet_conns{20'000};  ///< total connections, fleet-wide
-  int fleet_ports{8};                 ///< VIP ports served by every backend
-  /// Power this backend off mid-run (-1 = no crash). The tier's health
-  /// prober detects and evicts it; only its connections are lost.
-  int fleet_crash_host{-1};
-  sim::SimTime fleet_crash_at{0};  ///< relative to scenario start
 };
 
 struct TenantResult {
@@ -135,16 +123,6 @@ struct ScenarioResult {
   /// Connections the web servers closed for overstaying a header deadline.
   std::uint64_t http_deadline_closes{0};
   std::uint64_t migrations{0};
-
-  // --- fleet results (fleet_hosts > 0 runs only) --------------------------
-  std::size_t fleet_hosts_up_end{0};  ///< backends in the table at the end
-  std::uint64_t fleet_established{0};
-  std::uint64_t fleet_responses{0};
-  std::uint64_t fleet_lost_conns{0};  ///< client fds closed by reset/failure
-  std::uint64_t fleet_requests_served{0};  ///< summed over backend hubs
-  std::uint64_t fleet_backends_declared_down{0};
-  double fleet_rtt_p50_ms{0.0};  ///< merged across client-host hubs
-  double fleet_rtt_p99_ms{0.0};
 };
 
 ScenarioResult run_scenario(const Scenario& sc);

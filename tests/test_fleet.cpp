@@ -14,7 +14,6 @@
 #include "fleet/fleet_autoscaler.hpp"
 #include "fleet/maglev.hpp"
 #include "fleet/obs_merge.hpp"
-#include "wl/scenario.hpp"
 
 namespace neat::fleet {
 namespace {
@@ -490,29 +489,6 @@ TEST(FleetAutoScalerTest, ColdFleetDrainsDownToMinHosts) {
   const auto& st = rig.clients[0]->app_stats();
   EXPECT_EQ(st.closed_reset, 0u);
   EXPECT_EQ(rig.clients[0]->live_connections(), st.connected);
-}
-
-// ---------------------------------------------------------------------------
-// Fleet scenario plumbing
-// ---------------------------------------------------------------------------
-
-TEST(FleetScenario, RunScenarioDispatchesToTheFleetBranch) {
-  wl::Scenario sc;
-  sc.name = "fleet_test";
-  sc.seed = 5;
-  sc.fleet_hosts = 2;
-  sc.fleet_clients = 1;
-  sc.fleet_conns = 200;
-  sc.fleet_ports = 4;
-  sc.warmup = 100 * sim::kMillisecond;
-  sc.measure = 200 * sim::kMillisecond;
-  const wl::ScenarioResult res = wl::run_scenario(sc);
-  EXPECT_EQ(res.fleet_hosts_up_end, 2u);
-  EXPECT_GT(res.fleet_established, 0u);
-  EXPECT_GT(res.fleet_responses, 0u);
-  EXPECT_EQ(res.fleet_lost_conns, 0u);
-  EXPECT_EQ(res.fleet_requests_served, res.fleet_responses);
-  EXPECT_GT(res.fleet_rtt_p99_ms, 0.0);
 }
 
 }  // namespace
