@@ -69,13 +69,21 @@ void Nic::evict_one_filter() {
   // exactly what a spoofed SYN leaves behind) lose to any active flow;
   // among equals the stalest last activity goes. Sampling keeps eviction
   // O(K) under an install storm, which is when it runs hottest.
+  //
+  // Only entries RSS would steer to the same queue are sampled: a refault
+  // re-installs them where they were. An entry naming another queue holds
+  // its flow on the replica that owns it (the indirection changed since
+  // the SYN, e.g. a draining replica left the RSS set, or the stack pinned
+  // a migrated flow); evicting it would refault the flow onto a replica
+  // that does not know it and strand it on its owner. The scan moves such
+  // entries to the LRU head, so later scans skip them; only a table of
+  // nothing else falls back to sampling them.
   constexpr int kSample = 16;
   auto victim = lru_.end();
   bool victim_embryonic = false;
   sim::SimTime victim_last = 0;
-  int scanned = 0;
-  for (auto it = std::prev(lru_.end());; --it) {
-    const FlowEntry& e = flows_.find(*it)->second;
+  const auto consider = [&](std::list<net::FlowKey>::iterator it,
+                            const FlowEntry& e) {
     const bool embryonic = e.hits == 0;
     const bool better =
         victim == lru_.end() || (embryonic && !victim_embryonic) ||
@@ -85,7 +93,31 @@ void Nic::evict_one_filter() {
       victim_embryonic = embryonic;
       victim_last = e.last_hit;
     }
-    if (++scanned >= kSample || it == lru_.begin()) break;
+  };
+  int sampled = 0;
+  std::size_t visits = lru_.size();
+  for (auto it = std::prev(lru_.end()); visits-- > 0 && sampled < kSample;) {
+    const auto cur = it;
+    const bool head = cur == lru_.begin();
+    if (!head) --it;
+    const net::FlowKey& k = *cur;
+    const FlowEntry& e = flows_.find(k)->second;
+    if (e.queue !=
+        rss_queue(k.remote_ip, k.remote_port, k.local_ip, k.local_port)) {
+      lru_.splice(lru_.begin(), lru_, cur);
+    } else {
+      consider(cur, e);
+      ++sampled;
+    }
+    if (head) break;
+  }
+  if (victim == lru_.end()) {
+    // Every entry pins its flow; the rotation above restored LRU order.
+    sampled = 0;
+    for (auto it = std::prev(lru_.end());; --it) {
+      consider(it, flows_.find(*it)->second);
+      if (++sampled >= kSample || it == lru_.begin()) break;
+    }
   }
   flows_.erase(*victim);
   lru_.erase(victim);

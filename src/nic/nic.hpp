@@ -215,6 +215,7 @@ class Nic {
   /// Scored eviction under table pressure: sample the LRU tail, preferring
   /// "embryonic" entries (never steered a post-install packet — what a
   /// spoofed SYN leaves behind) and breaking ties by stalest activity.
+  /// Entries that steer a flow away from its RSS queue are kept.
   void evict_one_filter();
   /// First FIN observed on a tracked flow: mark it and schedule the entry's
   /// reclamation after fin_retire_linger (generation-guarded).

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "net/ethernet.hpp"
 #include "net/ipv4.hpp"
@@ -253,6 +254,45 @@ TEST_F(NicFixture, TrackingFiltersPinFlowsAcrossReconfiguration) {
   // RST tears the filter down.
   track.receive(make_frame(6000, 80, false, /*rst=*/true));
   EXPECT_EQ(track.flow_filter_count(), 0u);
+}
+
+TEST_F(NicFixture, EvictionKeepsFiltersOfADroppedQueue) {
+  // Lazy termination: a replica leaves the RSS set but still owns its
+  // established flows. Install pressure on a full table must evict flows
+  // RSS can re-steer, never the filters holding flows on the drainer.
+  NicParams p = params();
+  p.tracking_filters = true;
+  p.flow_table_capacity = 64;
+  Nic track(sim, net::MacAddr::local(1), kSrvIp, p);
+  track.set_active_queues({0, 1});
+  const auto open_flow = [&](std::uint16_t port) {
+    track.receive(make_frame(port, 80, /*syn=*/true));
+    track.receive(make_frame(port, 80));  // handshake ACK: flow is live
+  };
+  std::vector<std::uint16_t> on_dropped;
+  for (std::uint16_t port = 1000; port < 1064; ++port) {
+    open_flow(port);
+    if (track.flow_filter(net::FlowKey{kSrvIp, 80, kCliIp, port}) == 1) {
+      on_dropped.push_back(port);
+    }
+  }
+  ASSERT_EQ(track.flow_filter_count(), 64u);
+  ASSERT_FALSE(on_dropped.empty());
+
+  track.set_active_queues({0});  // queue 1 drains
+  for (std::uint16_t port = 2000; port < 2200; ++port) open_flow(port);
+  EXPECT_EQ(track.stats().filters_evicted, 200u);
+
+  for (int q = 0; q < p.num_queues; ++q) {
+    while (track.poll_rx(q)) {
+    }
+  }
+  for (const std::uint16_t port : on_dropped) {
+    EXPECT_EQ(track.flow_filter(net::FlowKey{kSrvIp, 80, kCliIp, port}), 1)
+        << "port " << port;
+    track.receive(make_frame(port, 80));
+  }
+  EXPECT_EQ(track.rx_depth(1), on_dropped.size());
 }
 
 TEST_F(NicFixture, PeekFlowParsesTcpFlags) {
