@@ -77,7 +77,7 @@ ScenarioResult run_scenario(const Scenario& sc) {
     scaler->start();
   }
 
-  // --- client side: the harness client host, generators added below ----
+  // --- client side: the harness client host; tenants and adversaries ---
   harness::ClientOptions co;
   co.stack_replicas = sc.client_replicas;
   co.generators = 0;
