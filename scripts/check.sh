@@ -40,7 +40,9 @@ for arg in "$@"; do
 done
 
 echo "== tier 1: configure + build + ctest =="
-cmake -B build -S . >/dev/null
+# Warnings fail the build: the Release tree compiles clean under
+# -Wall -Wextra, and a new warning must not slip in unnoticed.
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 

@@ -14,7 +14,8 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 namespace {
 
-[[nodiscard]] bool is_prime(std::size_t n) {
+// Only the constructor's assert calls it, which NDEBUG compiles out.
+[[maybe_unused, nodiscard]] bool is_prime(std::size_t n) {
   if (n < 2) return false;
   for (std::size_t d = 2; d * d <= n; ++d) {
     if (n % d == 0) return false;

@@ -271,9 +271,14 @@ void SteeringTier::handle_client_frame(net::PacketPtr frame) {
 
 void SteeringTier::handle_backend_frame(Port& in, net::PacketPtr frame) {
   if (is_icmp(*frame) && frame_dst_ip(*frame) == cfg_.prober_ip) {
-    // A health-probe echo reply; attribution is by arrival port.
-    net::EthernetHeader::decode(*frame);
-    net::Ipv4Header::decode(*frame);
+    // A health-probe echo reply; attribution is by arrival port. A frame
+    // whose headers fail to decode is dropped: ICMP parsed at whatever
+    // offset is left could read the IP header itself as an echo reply.
+    if (!net::EthernetHeader::decode(*frame) ||
+        !net::Ipv4Header::decode(*frame)) {
+      ++stats_.malformed_drops;
+      return;
+    }
     auto icmp = net::IcmpMessage::decode(*frame);
     if (icmp && icmp->type == net::IcmpMessage::Type::kEchoReply) {
       ++stats_.probe_replies;

@@ -79,6 +79,7 @@ class SteeringTier {
     std::uint64_t flows_removed{0};    ///< RST/FIN retirements + purges
     std::uint64_t no_backend_drops{0}; ///< table empty / backend port gone
     std::uint64_t unknown_dst_drops{0};
+    std::uint64_t malformed_drops{0};  ///< probe replies failing to decode
     std::uint64_t arp_proxied{0};
     std::uint64_t probes_sent{0};
     std::uint64_t probe_replies{0};

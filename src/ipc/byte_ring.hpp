@@ -12,8 +12,8 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
-#include <vector>
 
 namespace neat::ipc {
 
@@ -21,7 +21,10 @@ class ByteRing {
  public:
   /// Backing memory is allocated lazily on first write and can be released
   /// with release() — connection teardown states (TIME_WAIT) must not pin
-  /// buffer memory, or high connection churn exhausts RAM.
+  /// buffer memory, or high connection churn exhausts RAM. It is allocated
+  /// uninitialised: only bytes inside the readable region are ever read, so
+  /// a zero-fill would touch the whole capacity for nothing (a short-lived
+  /// connection writes a few hundred bytes into a 96 KiB ring).
   explicit ByteRing(std::size_t capacity) : capacity_(capacity) {
     assert(capacity > 0);
   }
@@ -35,13 +38,18 @@ class ByteRing {
   /// Copy as much of `src` in as fits; returns bytes written. At most two
   /// memcpy segments: [tail, min(end, tail+n)) and the wrap onto [0, rest).
   std::size_t write(std::span<const std::uint8_t> src) {
-    if (buf_.empty() && !src.empty()) buf_.resize(capacity_);
+    // Physically the full logical capacity, never less: the wrap position
+    // is observable — NeatSocket::pump hands TcpSocket::send one call per
+    // readable_spans() segment, and each call may emit segments.
+    if (!buf_ && !src.empty()) {
+      buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(capacity_);
+    }
     const std::size_t n = std::min(src.size(), writable());
     if (n == 0) return 0;
     const std::size_t tail = (head_ + size_) % capacity_;
     const std::size_t first = std::min(n, capacity_ - tail);
-    std::memcpy(buf_.data() + tail, src.data(), first);
-    if (n > first) std::memcpy(buf_.data(), src.data() + first, n - first);
+    std::memcpy(buf_.get() + tail, src.data(), first);
+    if (n > first) std::memcpy(buf_.get(), src.data() + first, n - first);
     size_ += n;
     high_water_ = std::max(high_water_, size_);
     total_in_ += n;
@@ -53,8 +61,7 @@ class ByteRing {
   void release() {
     head_ = 0;
     size_ = 0;
-    buf_.clear();
-    buf_.shrink_to_fit();
+    buf_.reset();
   }
 
   /// Copy up to dst.size() bytes out; returns bytes read.
@@ -82,17 +89,17 @@ class ByteRing {
   /// is contiguous). Invalidated by any mutating call.
   [[nodiscard]] std::array<std::span<const std::uint8_t>, 2> readable_spans()
       const {
-    if (buf_.empty() || size_ == 0) return {};
+    if (!buf_ || size_ == 0) return {};
     const std::size_t first = std::min(size_, capacity_ - head_);
-    return {std::span<const std::uint8_t>{buf_.data() + head_, first},
-            std::span<const std::uint8_t>{buf_.data(), size_ - first}};
+    return {std::span<const std::uint8_t>{buf_.get() + head_, first},
+            std::span<const std::uint8_t>{buf_.get(), size_ - first}};
   }
 
   /// Drop up to n bytes; returns bytes dropped.
   std::size_t discard(std::size_t n) {
-    if (buf_.empty()) return 0;
+    if (!buf_) return 0;
     n = std::min(n, readable());
-    head_ = (head_ + n) % buf_.size();
+    head_ = (head_ + n) % capacity_;
     size_ -= n;
     total_out_ += n;
     return n;
@@ -114,18 +121,18 @@ class ByteRing {
   /// `offset` into the readable region, in at most two memcpy segments.
   std::size_t copy_out(std::size_t offset,
                        std::span<std::uint8_t> dst) const {
-    if (buf_.empty() || offset >= size_) return 0;
+    if (!buf_ || offset >= size_) return 0;
     const std::size_t n = std::min(dst.size(), size_ - offset);
     if (n == 0) return 0;
     const std::size_t pos = (head_ + offset) % capacity_;
     const std::size_t first = std::min(n, capacity_ - pos);
-    std::memcpy(dst.data(), buf_.data() + pos, first);
-    if (n > first) std::memcpy(dst.data() + first, buf_.data(), n - first);
+    std::memcpy(dst.data(), buf_.get() + pos, first);
+    if (n > first) std::memcpy(dst.data() + first, buf_.get(), n - first);
     return n;
   }
 
   std::size_t capacity_;
-  std::vector<std::uint8_t> buf_;  // empty until first write
+  std::unique_ptr<std::uint8_t[]> buf_;  // null until first write
   std::size_t head_{0};
   std::size_t size_{0};
   std::size_t high_water_{0};

@@ -30,6 +30,37 @@ class OsProcess final : public sim::Process {
  public:
   explicit OsProcess(sim::Simulator& sim) : sim::Process(sim, "os") {}
 };
+
+/// Eligible for new connections.
+bool is_active(StackReplica& r) {
+  return !r.terminating && !r.terminated && !r.quarantined &&
+         !r.tcp_process().crashed();
+}
+
+/// Still serving: includes terminating, excludes terminated.
+bool is_serving(const StackReplica& r) {
+  return !r.terminated && !r.quarantined;
+}
+
+using Replicas = std::vector<std::unique_ptr<StackReplica>>;
+
+/// Count, and the k-th in order, of the replicas satisfying `pred`: the
+/// per-connect and per-accept paths use these in place of a vector.
+template <class Pred>
+std::size_t count_replicas(const Replicas& replicas, Pred pred) {
+  return static_cast<std::size_t>(std::count_if(
+      replicas.begin(), replicas.end(),
+      [&pred](const auto& r) { return pred(*r); }));
+}
+
+template <class Pred>
+StackReplica* nth_replica(const Replicas& replicas, std::size_t k,
+                          Pred pred) {
+  for (const auto& r : replicas) {
+    if (pred(*r) && k-- == 0) return r.get();
+  }
+  return nullptr;
+}
 }  // namespace
 
 NeatHost::NeatHost(sim::Simulator& sim, sim::Machine& machine, nic::Nic& nic,
@@ -119,10 +150,7 @@ void NeatHost::note_replica_census() {
 std::vector<StackReplica*> NeatHost::active_replicas() {
   std::vector<StackReplica*> out;
   for (auto& r : replicas_) {
-    if (!r->terminating && !r->terminated && !r->quarantined &&
-        !r->tcp_process().crashed()) {
-      out.push_back(r.get());
-    }
+    if (is_active(*r)) out.push_back(r.get());
   }
   return out;
 }
@@ -130,15 +158,25 @@ std::vector<StackReplica*> NeatHost::active_replicas() {
 std::vector<StackReplica*> NeatHost::serving_replicas() {
   std::vector<StackReplica*> out;
   for (auto& r : replicas_) {
-    if (!r->terminated && !r->quarantined) out.push_back(r.get());
+    if (is_serving(*r)) out.push_back(r.get());
   }
   return out;
 }
 
+std::size_t NeatHost::serving_count() const {
+  return count_replicas(replicas_, is_serving);
+}
+
+StackReplica& NeatHost::serving_replica(std::size_t k) {
+  StackReplica* r = nth_replica(replicas_, k, is_serving);
+  assert(r != nullptr && "k must be below serving_count()");
+  return *r;
+}
+
 StackReplica* NeatHost::pick_replica() {
-  auto active = active_replicas();
-  if (active.empty()) return nullptr;
-  return active[rng_.below(active.size())];
+  const std::size_t n = count_replicas(replicas_, is_active);
+  if (n == 0) return nullptr;
+  return nth_replica(replicas_, rng_.below(n), is_active);
 }
 
 void NeatHost::record_listen(ListenRecord rec) {

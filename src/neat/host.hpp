@@ -203,6 +203,10 @@ class NeatHost {
   [[nodiscard]] std::vector<StackReplica*> active_replicas();
   /// Replicas still serving (includes terminating, excludes terminated).
   [[nodiscard]] std::vector<StackReplica*> serving_replicas();
+  /// serving_replicas().size() and serving_replicas()[k], without building
+  /// the vector (the per-accept path).
+  [[nodiscard]] std::size_t serving_count() const;
+  [[nodiscard]] StackReplica& serving_replica(std::size_t k);
 
   /// Random active replica (connection placement; also the security
   /// re-randomization property of §3.8).

@@ -880,7 +880,7 @@ TcpSocketPtr TcpListener::accept() {
 TcpStack::TcpStack(TcpEnv& env, Ipv4Addr local_ip, TcpConfig cfg)
     : env_(env), local_ip_(local_ip), cfg_(cfg) {
   next_ephemeral_ = static_cast<std::uint16_t>(
-      49152 + env_.random_u32() % 16000);
+      kEphemeralFirst + env_.random_u32() % 16000);
   cookie_secret_ =
       static_cast<std::uint64_t>(env_.random_u32()) << 32 | env_.random_u32();
 }
@@ -894,11 +894,11 @@ TcpListener* TcpStack::listen(std::uint16_t port, std::size_t backlog) {
 void TcpStack::close_listener(std::uint16_t port) { listeners_.erase(port); }
 
 std::uint16_t TcpStack::ephemeral_port() {
-  for (int tries = 0; tries < 16384; ++tries) {
+  for (std::size_t tries = 0; tries < kEphemeralPorts; ++tries) {
     const std::uint16_t p = next_ephemeral_;
     next_ephemeral_ =
-        next_ephemeral_ >= 65535 ? 49152 : next_ephemeral_ + 1;
-    if (port_use_[p] == 0) return p;
+        next_ephemeral_ >= 65535 ? kEphemeralFirst : next_ephemeral_ + 1;
+    if (!port_use_ || port_use_[p - kEphemeralFirst] == 0) return p;
   }
   return 0;
 }
@@ -1339,7 +1339,7 @@ void TcpStack::destroy_all_state() {
   conns_.clear();
   dirty_socks_.clear();  // pending edges die with the crash
   in_batch_ = false;
-  std::fill(port_use_.begin(), port_use_.end(), 0);
+  port_use_.reset();
   listeners_.clear();
   migrated_out_.clear();
   pending_handshakes_ = 0;

@@ -594,10 +594,17 @@ class TcpStack {
     // stale straggler of the OLD flow — a permanent blackhole.
     migrated_out_.erase(key);
     conns_[key] = std::move(sock);
-    ++port_use_[key.local_port];
+    if (key.local_port >= kEphemeralFirst) {
+      if (!port_use_) {
+        port_use_ = std::make_unique<std::uint32_t[]>(kEphemeralPorts);
+      }
+      ++port_use_[key.local_port - kEphemeralFirst];
+    }
   }
   void erase_conn(const FlowKey& key) {
-    if (conns_.erase(key) > 0) --port_use_[key.local_port];
+    if (conns_.erase(key) > 0 && key.local_port >= kEphemeralFirst) {
+      --port_use_[key.local_port - kEphemeralFirst];
+    }
   }
 
   TcpEnv& env_;
@@ -605,10 +612,15 @@ class TcpStack {
   TcpConfig cfg_;
   TcpStats stats_;
   std::unordered_map<FlowKey, TcpSocketPtr, FlowKeyHash> conns_;
-  /// Connections per local port. Makes ephemeral allocation O(1) — the
-  /// old scan over conns_ was O(n) per connect, quadratic over a ramp,
-  /// which melts at fleet scale (hundreds of thousands of client flows).
-  std::vector<std::uint32_t> port_use_ = std::vector<std::uint32_t>(65536, 0);
+  /// The range ephemeral_port() hands out: 49152-65535.
+  static constexpr std::uint16_t kEphemeralFirst = 49152;
+  static constexpr std::size_t kEphemeralPorts = 65536 - kEphemeralFirst;
+  /// Connections per ephemeral local port (index = port - kEphemeralFirst).
+  /// Makes ephemeral allocation O(1) — a scan over conns_ is O(n) per
+  /// connect, quadratic over a ramp, which melts at fleet scale (hundreds
+  /// of thousands of client flows). Null until the first connection on an
+  /// ephemeral port, so server stacks never pay for it.
+  std::unique_ptr<std::uint32_t[]> port_use_;
   /// Flows extracted for migration: stale frames still in this replica's
   /// RX channel must be dropped, not RST'd (erased if the flow returns).
   std::unordered_set<FlowKey, FlowKeyHash> migrated_out_;

@@ -373,8 +373,10 @@ void Nic::note_steering(bool filter_hit, const ParsedFlow& flow, int queue) {
     steer_rss_counter_ = &m.counter("nic.steer_rss");
   }
   (filter_hit ? steer_filter_counter_ : steer_rss_counter_)->inc();
+  auto& tracer = sim_.tracer();
+  // Every SYN passes here: format the trace args only when they are kept.
+  if (!tracer.enabled()) return;
   if (flow.is_tcp && flow.syn) {
-    auto& tracer = sim_.tracer();
     std::string args = "\"queue\":" + std::to_string(queue);
     args += filter_hit ? ",\"via\":\"filter\"" : ",\"via\":\"rss\"";
     tracer.emit({sim_.now(), 0, "nic", "syn_received", 0, queue, args});

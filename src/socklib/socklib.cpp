@@ -53,11 +53,10 @@ Fd SockLib::accept(Fd listen_fd, ConnCallbacks cb) {
 
   // Scan subsockets round-robin, starting after the last successful
   // replica, so accept load spreads even when all queues are hot.
-  auto replicas = host_.serving_replicas();
-  if (replicas.empty()) return kBadFd;
-  const std::size_t n = replicas.size();
+  const std::size_t n = host_.serving_count();
+  if (n == 0) return kBadFd;
   for (std::size_t i = 0; i < n; ++i) {
-    StackReplica& rep = *replicas[(entry.rr_next + i) % n];
+    StackReplica& rep = host_.serving_replica((entry.rr_next + i) % n);
     net::TcpListener* l = rep.tcp().listener(entry.port);
     if (l == nullptr) continue;
     if (net::TcpSocketPtr tcp = l->accept()) {

@@ -14,6 +14,12 @@
 #include "fleet/fleet_autoscaler.hpp"
 #include "fleet/maglev.hpp"
 #include "fleet/obs_merge.hpp"
+#include "fleet/steering.hpp"
+#include "net/checksum.hpp"
+#include "net/ethernet.hpp"
+#include "net/icmp.hpp"
+#include "net/ipv4.hpp"
+#include "net/wire.hpp"
 
 namespace neat::fleet {
 namespace {
@@ -112,6 +118,56 @@ TEST(Maglev, LookupIsDeterministicAndEmptyTableSaysSo) {
   const int first = t.lookup(f);
   EXPECT_TRUE(first == 4 || first == 9);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(t.lookup(f), first);
+}
+
+// ---------------------------------------------------------------------------
+// SteeringTier wire input
+// ---------------------------------------------------------------------------
+
+/// An ICMP echo reply addressed to the tier's prober, as a backend sends it.
+net::PacketPtr probe_reply_frame(const SteeringConfig& cfg,
+                                 net::MacAddr tier_mac) {
+  auto pkt = net::Packet::make(0);
+  net::IcmpMessage icmp;
+  icmp.type = net::IcmpMessage::Type::kEchoReply;
+  icmp.ident = 7;
+  icmp.seq = 1;
+  icmp.encode(*pkt);
+  net::Ipv4Header ip;
+  ip.src = net::Ipv4Addr::of(10, 0, 1, 1);
+  ip.dst = cfg.prober_ip;
+  ip.proto = net::IpProto::kIcmp;
+  ip.encode(*pkt);
+  net::EthernetHeader eth;
+  eth.dst = tier_mac;
+  eth.src = net::MacAddr::local(1);
+  eth.encode(*pkt);
+  return pkt;
+}
+
+TEST(SteeringTierWire, ProbeReplyWithUndecodableIpHeaderIsDropped) {
+  sim::Simulator sim;
+  SteeringConfig cfg;
+  SteeringTier tier(sim, cfg);
+  nic::Nic& port = tier.add_backend_port(0, net::MacAddr::local(1));
+
+  port.receive(probe_reply_frame(cfg, port.mac()));
+  sim.run();
+  ASSERT_EQ(tier.stats().probe_replies, 1u);  // a well-formed reply counts
+
+  // Version/IHL byte 0 with a recomputed header checksum: IPv4 decode
+  // rejects it. Parsed as ICMP from the IP header on, the frame would read
+  // as an echo reply (type byte 0, whole-buffer checksum zero).
+  auto bad = probe_reply_frame(cfg, port.mac());
+  auto ip = bad->bytes().subspan(net::EthernetHeader::kSize,
+                                 net::Ipv4Header::kSize);
+  ip[0] = 0;
+  net::put_u16(ip, 10, 0);
+  net::put_u16(ip, 10, net::internet_checksum(ip));
+  port.receive(std::move(bad));
+  sim.run();
+  EXPECT_EQ(tier.stats().probe_replies, 1u);
+  EXPECT_EQ(tier.stats().malformed_drops, 1u);
 }
 
 // ---------------------------------------------------------------------------

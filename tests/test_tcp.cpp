@@ -297,6 +297,52 @@ TEST_F(TcpPair, EphemeralPortsAreUnique) {
   EXPECT_EQ(ports.size(), conns.size());
 }
 
+/// Connect until the ephemeral range (49152-65535) is used up. The sim does
+/// not run, so every socket stays in SYN_SENT and holds its port.
+std::vector<TcpSocketPtr> fill_ephemeral_range(TcpStack& stack) {
+  std::vector<TcpSocketPtr> conns;
+  for (int i = 0; i < 16384; ++i) {
+    auto c = stack.connect(SockAddr{kServerIp, 80});
+    if (!c) break;
+    EXPECT_GE(c->flow().local_port, 49152);
+    conns.push_back(std::move(c));
+  }
+  return conns;
+}
+
+TEST_F(TcpPair, EphemeralRangeExhaustsAndAClosedPortIsReused) {
+  auto conns = fill_ephemeral_range(client);
+  ASSERT_EQ(conns.size(), 16384u);
+  EXPECT_FALSE(client.connect(SockAddr{kServerIp, 80}));
+
+  const std::uint16_t freed = conns[1234]->flow().local_port;
+  conns[1234]->close();
+  auto again = client.connect(SockAddr{kServerIp, 80});
+  ASSERT_TRUE(again);
+  EXPECT_EQ(again->flow().local_port, freed);
+}
+
+TEST_F(TcpPair, EphemeralAllocatorSkipsAnExplicitlyBoundPort) {
+  const auto next = [](std::uint16_t p) -> std::uint16_t {
+    return p == 65535 ? 49152 : static_cast<std::uint16_t>(p + 1);
+  };
+  auto first = client.connect(SockAddr{kServerIp, 80});
+  ASSERT_TRUE(first);
+  const std::uint16_t bound = next(first->flow().local_port);
+  // Bound explicitly, to another remote: the port is taken all the same.
+  ASSERT_TRUE(client.connect(SockAddr{kServerIp, 81}, bound));
+  auto after = client.connect(SockAddr{kServerIp, 80});
+  ASSERT_TRUE(after);
+  EXPECT_EQ(after->flow().local_port, next(bound));
+}
+
+TEST_F(TcpPair, EphemeralPortsAreFreeAgainAfterDestroyAllState) {
+  auto conns = fill_ephemeral_range(client);
+  ASSERT_EQ(conns.size(), 16384u);
+  client.destroy_all_state();
+  EXPECT_EQ(fill_ephemeral_range(client).size(), 16384u);
+}
+
 // ---------------------------------------------------------------------------
 // Data transfer
 // ---------------------------------------------------------------------------
