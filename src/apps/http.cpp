@@ -76,18 +76,23 @@ std::vector<std::uint8_t> build_request(const std::string& path,
   return {s.begin(), s.end()};
 }
 
-std::vector<std::uint8_t> build_response(int status,
-                                         std::span<const std::uint8_t> body,
-                                         bool keep_alive) {
+std::vector<std::uint8_t> build_response_head(int status,
+                                              std::size_t content_length,
+                                              bool keep_alive) {
   std::string head = "HTTP/1.1 " + std::to_string(status) +
                      (status == 200 ? " OK" : " Error") +
-                     "\r\nContent-Length: " + std::to_string(body.size()) +
+                     "\r\nContent-Length: " + std::to_string(content_length) +
                      "\r\n";
   if (!keep_alive) head += "Connection: close\r\n";
   head += "\r\n";
-  std::vector<std::uint8_t> out;
-  out.reserve(head.size() + body.size());
-  out.insert(out.end(), head.begin(), head.end());
+  return {head.begin(), head.end()};
+}
+
+std::vector<std::uint8_t> build_response(int status,
+                                         std::span<const std::uint8_t> body,
+                                         bool keep_alive) {
+  std::vector<std::uint8_t> out =
+      build_response_head(status, body.size(), keep_alive);
   out.insert(out.end(), body.begin(), body.end());
   return out;
 }
@@ -101,26 +106,40 @@ std::size_t HttpResponseParser::feed(std::span<const std::uint8_t> data) {
   std::size_t i = 0;
   while (i < data.size() && !error_) {
     if (!in_body_) {
-      // Bulk-append and search for the head terminator instead of walking
-      // byte by byte: re-scan only the 3-byte overlap with what was
-      // already buffered, and hand anything past the terminator straight
-      // to the body branch below.
+      // Search for the head terminator in place instead of walking byte
+      // by byte, and buffer only head bytes: anything past the terminator
+      // goes straight to the body branch below. A terminator that
+      // straddles the buffered head and this chunk starts in the last 3
+      // buffered bytes, so that seam is searched on a small copy first.
       const std::size_t old = head_.size();
-      const std::size_t add =
-          std::min(data.size() - i, kMaxHeadBytes + 4 - old);
-      head_.append(reinterpret_cast<const char*>(data.data() + i), add);
-      const std::size_t from = old >= 3 ? old - 3 : 0;
-      const auto end = head_.find("\r\n\r\n", from);
-      if (end == std::string::npos) {
+      const std::string_view in(
+          reinterpret_cast<const char*>(data.data() + i),
+          std::min(data.size() - i, kMaxHeadBytes + 4 - old));
+      std::size_t take = std::string_view::npos;  // bytes of `in` in the head
+      if (old > 0) {
+        const std::size_t a = std::min<std::size_t>(old, 3);
+        const std::size_t b = std::min<std::size_t>(in.size(), 3);
+        char seam[6];
+        head_.copy(seam, a, old - a);
+        in.copy(seam + a, b);
+        const auto at = std::string_view(seam, a + b).find("\r\n\r\n");
+        if (at != std::string_view::npos) take = at + 4 - a;
+      }
+      if (take == std::string_view::npos) {
+        const auto at = in.find("\r\n\r\n");
+        if (at != std::string_view::npos) take = at + 4;
+      }
+      if (take == std::string_view::npos) {
+        head_.append(in);
         if (head_.size() > kMaxHeadBytes) {
           error_ = true;
           return completed;
         }
-        i += add;
+        i += in.size();
         continue;
       }
-      i += end + 4 - old;     // bytes of `data` consumed by the head
-      head_.resize(end + 4);  // surplus belongs to the body
+      head_.append(in.substr(0, take));
+      i += take;
       // Parse status line + Content-Length.
       const auto sp = head_.find(' ');
       status_ = 0;

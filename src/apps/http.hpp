@@ -47,6 +47,10 @@ class HttpRequestParser {
 [[nodiscard]] std::vector<std::uint8_t> build_request(const std::string& path,
                                                       bool keep_alive = true);
 
+/// Serialize a response head (status line, Content-Length, blank line).
+[[nodiscard]] std::vector<std::uint8_t> build_response_head(
+    int status, std::size_t content_length, bool keep_alive = true);
+
 /// Serialize a response head + body.
 [[nodiscard]] std::vector<std::uint8_t> build_response(
     int status, std::span<const std::uint8_t> body, bool keep_alive = true);
@@ -91,6 +95,8 @@ class HttpResponseParser {
 };
 
 /// In-memory static content (lighttpd serving files cached in memory).
+/// Filled before serving starts and not mutated after: HttpServer sends
+/// bodies straight out of it.
 class FileStore {
  public:
   /// Create /name with `size` deterministic filler bytes.

@@ -91,7 +91,7 @@ void HttpServer::on_readable(Fd fd) {
       finish(fd);
       return;
     }
-    if (api_->eof(fd) && c.queue.empty() && c.out.empty()) {
+    if (api_->eof(fd) && c.queue.empty() && c.head.empty()) {
       api_->close(fd);
       finish(fd);
       return;
@@ -104,7 +104,7 @@ void HttpServer::serve_next(Fd fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
   Conn& c = it->second;
-  if (c.respond_pending || c.queue.empty() || !c.out.empty()) return;
+  if (c.respond_pending || c.queue.empty() || !c.head.empty()) return;
   c.respond_pending = true;
 
   const HttpRequest req = c.queue.front();
@@ -122,7 +122,8 @@ void HttpServer::serve_next(Fd fd) {
          c.respond_pending = false;
 
          if (body != nullptr) {
-           c.out = build_response(200, *body, req.keep_alive);
+           c.head = build_response_head(200, body->size(), req.keep_alive);
+           c.body = *body;
            ++stats_.requests;
            const sim::SimTime lat = sim().now() - arrived_at;
            if (req_latency_ == nullptr) {
@@ -132,7 +133,7 @@ void HttpServer::serve_next(Fd fd) {
            sim().tracer().emit(
                {arrived_at, lat ? lat : 1, "http", "request_served", 0, fd, ""});
          } else {
-           c.out = build_error_response(404);
+           c.head = build_error_response(404);
            ++stats_.not_found;
          }
          c.out_off = 0;
@@ -148,16 +149,21 @@ void HttpServer::continue_write(Fd fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
   Conn& c = it->second;
-  if (c.out.empty()) {
+  if (c.head.empty()) {
     serve_next(fd);
     return;
   }
-  const std::size_t n = api_->send(
-      fd, std::span<const std::uint8_t>{c.out}.subspan(c.out_off));
+  // One gather write of the unsent rest of head + body, so a short write
+  // leaves the socket exactly as one write of the concatenation would.
+  const std::size_t in_head = std::min(c.out_off, c.head.size());
+  const std::size_t n =
+      api_->send(fd, std::span<const std::uint8_t>{c.head}.subspan(in_head),
+                 c.body.subspan(c.out_off - in_head));
   c.out_off += n;
   stats_.bytes_sent += n;
-  if (c.out_off == c.out.size()) {
-    c.out.clear();
+  if (c.out_off == c.head.size() + c.body.size()) {
+    c.head.clear();
+    c.body = {};
     c.out_off = 0;
     if (c.closing) {
       api_->close(fd);

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -73,8 +74,12 @@ class HttpServer : public sim::Process {
  private:
   struct Conn {
     HttpRequestParser parser;
-    std::vector<std::uint8_t> out;  // pending response bytes
-    std::size_t out_off{0};
+    /// Pending response: `head`, then `body` sent in place from the
+    /// FileStore, never copied per response. Valid because the FileStore
+    /// is filled when the rig is built and never mutated while serving.
+    std::vector<std::uint8_t> head;
+    std::span<const std::uint8_t> body;
+    std::size_t out_off{0};  // bytes of head + body already sent
     int served{0};
     bool closing{false};
     bool respond_pending{0};

@@ -428,7 +428,8 @@ socklib::Fd LinuxSockets::wire(net::TcpSocketPtr tcp,
 }
 
 std::size_t LinuxSockets::send(socklib::Fd fd,
-                               std::span<const std::uint8_t> data) {
+                               std::span<const std::uint8_t> data,
+                               std::span<const std::uint8_t> more) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return 0;
   // The write path carries the per-request shared-state contention bill:
@@ -439,11 +440,12 @@ std::size_t LinuxSockets::send(socklib::Fd fd,
   const sim::Cycles contention =
       host_.config().costs.contention_quad * nc * nc;
   charge(host_.config().costs.sys_write + contention +
-             host_.config().costs.per_16_bytes * (data.size() / 16) +
+             host_.config().costs.per_16_bytes *
+                 ((data.size() + more.size()) / 16) +
              host_.locality_penalty(),
          2);
   host_.set_current(&app_);
-  const std::size_t n = it->second->tcp->send(data);
+  const std::size_t n = it->second->tcp->send(data, more);
   host_.set_current(nullptr);
   return n;
 }

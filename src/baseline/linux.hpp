@@ -221,8 +221,9 @@ class LinuxSockets final : public socklib::SocketApi {
                      socklib::ConnCallbacks cb) override;
   socklib::Fd connect(net::SockAddr remote,
                       socklib::ConnCallbacks cb) override;
-  std::size_t send(socklib::Fd fd,
-                   std::span<const std::uint8_t> data) override;
+  using socklib::SocketApi::send;
+  std::size_t send(socklib::Fd fd, std::span<const std::uint8_t> data,
+                   std::span<const std::uint8_t> more) override;
   std::size_t recv(socklib::Fd fd, std::span<std::uint8_t> dst) override;
   [[nodiscard]] std::size_t readable(socklib::Fd fd) const override;
   [[nodiscard]] bool eof(socklib::Fd fd) const override;

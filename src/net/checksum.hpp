@@ -21,20 +21,35 @@ class ChecksumAccumulator {
       odd_ = false;
       i = 1;
     }
-    // Bulk: fold 8 bytes per iteration with end-around carry. RFC 1071 §2(B)
-    // — the ones-complement sum is byte-order independent, so the partial
-    // sum over native-order words equals the big-endian-word sum after a
-    // byte swap. Only whole 16-bit words enter this path, so stream parity
-    // is preserved for the tail loop below.
-    if (i + 8 <= data.size()) {
-      std::uint64_t s = 0;
-      for (; i + 8 <= data.size(); i += 8) {
-        std::uint64_t w;
-        std::memcpy(&w, data.data() + i, 8);
-        s += w;
-        if (s < w) ++s;  // end-around carry
+    // Bulk: sum 32-bit native words into four independent 64-bit
+    // accumulators, carry-free. A word adds less than 2^32, so an
+    // accumulator cannot overflow before it has taken 2^32 words (64 GiB
+    // per call across the four); the end-around carries are recovered by
+    // the fold below instead of per add. RFC 1071 §2(B) — the
+    // ones-complement sum is byte-order independent, so the partial sum
+    // over native-order words equals the big-endian-word sum after a byte
+    // swap. Only whole 16-bit words enter this path, so stream parity is
+    // preserved for the tail loop below.
+    if (i + 4 <= data.size()) {
+      std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+      const std::uint8_t* p = data.data();
+      // 32 bytes per iteration: two words per accumulator lets the
+      // compiler keep two independent vector sums.
+      for (; i + 32 <= data.size(); i += 32) {
+        s0 += load32(p + i);
+        s1 += load32(p + i + 4);
+        s2 += load32(p + i + 8);
+        s3 += load32(p + i + 12);
+        s0 += load32(p + i + 16);
+        s1 += load32(p + i + 20);
+        s2 += load32(p + i + 24);
+        s3 += load32(p + i + 28);
       }
-      s = (s & 0xffffffffULL) + (s >> 32);
+      for (; i + 4 <= data.size(); i += 4) s0 += load32(p + i);
+      // 2^32 == 1 (mod 0xffff): folding the high half onto the low half
+      // keeps the ones-complement value, and four folded sums (< 2^33
+      // each) cannot overflow.
+      std::uint64_t s = fold32(s0) + fold32(s1) + fold32(s2) + fold32(s3);
       while (s >> 16) s = (s & 0xffffULL) + (s >> 16);
       auto native = static_cast<std::uint16_t>(s);
       if constexpr (std::endian::native == std::endian::little) {
@@ -79,6 +94,15 @@ class ChecksumAccumulator {
   }
 
  private:
+  static std::uint32_t load32(const std::uint8_t* p) {
+    std::uint32_t w;
+    std::memcpy(&w, p, 4);
+    return w;
+  }
+  static std::uint64_t fold32(std::uint64_t s) {
+    return (s & 0xffffffffULL) + (s >> 32);
+  }
+
   std::uint64_t sum_{0};
   std::uint8_t pending_{0};
   bool odd_{false};

@@ -235,13 +235,15 @@ void TcpSocket::start_passive_open(const TcpHeader& syn) {
   arm_rto();
 }
 
-std::size_t TcpSocket::send(std::span<const std::uint8_t> data) {
+std::size_t TcpSocket::send(std::span<const std::uint8_t> data,
+                            std::span<const std::uint8_t> more) {
   if (state_ != TcpState::kEstablished && state_ != TcpState::kCloseWait &&
       state_ != TcpState::kSynSent && state_ != TcpState::kSynRcvd) {
     return 0;
   }
   if (fin_queued_) return 0;  // sending after close() is an app bug
-  const std::size_t n = send_ring_.write(data);
+  std::size_t n = send_ring_.write(data);
+  if (n == data.size()) n += send_ring_.write(more);
   if (state_ == TcpState::kEstablished || state_ == TcpState::kCloseWait) {
     try_output();
   }

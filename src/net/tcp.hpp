@@ -235,8 +235,10 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   void set_callbacks(Callbacks cb) { cb_ = std::move(cb); }
 
   /// Queue bytes for transmission; returns how many were accepted
-  /// (bounded by send-buffer space).
-  std::size_t send(std::span<const std::uint8_t> data);
+  /// (bounded by send-buffer space). `more` follows `data` as if the two
+  /// were one buffer: segments are cut only after both are queued.
+  std::size_t send(std::span<const std::uint8_t> data,
+                   std::span<const std::uint8_t> more = {});
 
   /// Read received bytes; returns bytes read (0 = nothing available —
   /// check eof() to distinguish from EOF).

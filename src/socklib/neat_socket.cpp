@@ -81,10 +81,12 @@ void NeatSocket::init() {
   tcp_->set_callbacks(std::move(cb));
 }
 
-std::size_t NeatSocket::write(std::span<const std::uint8_t> data) {
+std::size_t NeatSocket::write(std::span<const std::uint8_t> data,
+                              std::span<const std::uint8_t> more) {
   if (failed_ || close_requested_) return 0;
-  const std::size_t n = tx_ring_.write(data);
-  if (n < data.size()) want_write_ = true;
+  std::size_t n = tx_ring_.write(data);
+  if (n == data.size()) n += tx_ring_.write(more);
+  if (n < data.size() + more.size()) want_write_ = true;
   if (n > 0) to_stack_.ring();
   return n;
 }

@@ -43,7 +43,9 @@ class NeatSocket : public std::enable_shared_from_this<NeatSocket> {
   NeatSocket& operator=(const NeatSocket&) = delete;
 
   // --- app side --------------------------------------------------------------
-  std::size_t write(std::span<const std::uint8_t> data);
+  /// Gather write of `data` then `more` into the tx ring (one doorbell).
+  std::size_t write(std::span<const std::uint8_t> data,
+                    std::span<const std::uint8_t> more);
   std::size_t read(std::span<std::uint8_t> dst);
   [[nodiscard]] std::size_t readable() const { return tcp_->readable(); }
   [[nodiscard]] bool eof() const { return tcp_->eof(); }

@@ -62,8 +62,17 @@ class SocketApi {
   /// Begin an active connect; completion via cb.on_connected / on_closed.
   virtual Fd connect(net::SockAddr remote, ConnCallbacks cb) = 0;
 
+  /// Non-blocking gather write of `data` then `more`: exactly one write
+  /// of their concatenation (one syscall charge, one stack wakeup) without
+  /// the caller copying them together. Returns bytes accepted from the
+  /// front of data+more.
+  virtual std::size_t send(Fd fd, std::span<const std::uint8_t> data,
+                           std::span<const std::uint8_t> more) = 0;
+
   /// Non-blocking write; returns bytes accepted.
-  virtual std::size_t send(Fd fd, std::span<const std::uint8_t> data) = 0;
+  std::size_t send(Fd fd, std::span<const std::uint8_t> data) {
+    return send(fd, data, {});
+  }
 
   /// Non-blocking read; returns bytes read (0: nothing available or EOF —
   /// disambiguate with eof()).

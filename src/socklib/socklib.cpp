@@ -168,9 +168,10 @@ void SockLib::wire_connection(Fd fd, StackReplica& replica,
   sock->set_events(std::move(ev));
 }
 
-std::size_t SockLib::send(Fd fd, std::span<const std::uint8_t> data) {
+std::size_t SockLib::send(Fd fd, std::span<const std::uint8_t> data,
+                          std::span<const std::uint8_t> more) {
   auto it = conns_.find(fd);
-  return it == conns_.end() ? 0 : it->second->write(data);
+  return it == conns_.end() ? 0 : it->second->write(data, more);
 }
 
 std::size_t SockLib::recv(Fd fd, std::span<std::uint8_t> dst) {

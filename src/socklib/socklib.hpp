@@ -33,7 +33,9 @@ class SockLib final : public SocketApi, public ReplicaFailureListener {
             std::function<void()> on_acceptable) override;
   Fd accept(Fd listen_fd, ConnCallbacks cb) override;
   Fd connect(net::SockAddr remote, ConnCallbacks cb) override;
-  std::size_t send(Fd fd, std::span<const std::uint8_t> data) override;
+  using SocketApi::send;
+  std::size_t send(Fd fd, std::span<const std::uint8_t> data,
+                   std::span<const std::uint8_t> more) override;
   std::size_t recv(Fd fd, std::span<std::uint8_t> dst) override;
   [[nodiscard]] std::size_t readable(Fd fd) const override;
   [[nodiscard]] bool eof(Fd fd) const override;

@@ -117,6 +117,32 @@ TEST_F(AppsFixture, LargerFilesYieldMultiSegmentResponses) {
   EXPECT_EQ(r.bad_status, 0u);
 }
 
+TEST_F(AppsFixture, BodiesLargerThanTheTxRingSurviveShortWrites) {
+  // A 100 KiB body cannot fit the 32 KiB socket tx ring: every response
+  // is sent as a short gather write of head + body, resumed on
+  // on_writable. The client compares each body byte with the file.
+  static constexpr std::size_t kSize = 100 * 1024;
+  build(1, [](NeatServerOptions& so) { so.files.push_back({"/huge", kSize}); });
+  ClientOptions co;
+  co.generators = 1;
+  co.concurrency_per_gen = 2;
+  co.requests_per_conn = 5;
+  co.max_conns = 4;  // a finite run: every response completes
+  co.path = "/huge";
+  client = std::make_unique<ClientRig>(build_client(*tb, co, 1));
+  client->gens[0]->config().expect_body = server->files->lookup("/huge");
+  prepopulate_arp(*server, *client);
+  tb->sim.run_for(500 * sim::kMillisecond);
+  const auto& r = client->gens[0]->report();
+  const auto& s = server->webs[0]->app_stats();
+  EXPECT_EQ(r.committed_requests, 4u * 5u);
+  EXPECT_EQ(r.payload_mismatches, 0u);
+  EXPECT_EQ(r.bad_status, 0u);
+  EXPECT_EQ(s.requests, 4u * 5u);
+  EXPECT_EQ(s.bytes_sent,
+            s.requests * (apps::build_response_head(200, kSize).size() + kSize));
+}
+
 // ---------------------------------------------------------------------------
 // Placement generators
 // ---------------------------------------------------------------------------

@@ -135,6 +135,48 @@ TEST_P(ResponseChunking, KeepAliveStreamCountsAllResponses) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ResponseChunking,
                          ::testing::Range<std::uint64_t>(1, 9));
 
+TEST(HttpResponse, HeadAndLargeBodyInOneChunk) {
+  // Head, a body larger than the 8 KiB head limit and a second response
+  // arrive in one chunk: only the head may count as head, and every body
+  // byte reaches the sink in order.
+  std::vector<std::uint8_t> body(20000);
+  for (std::size_t k = 0; k < body.size(); ++k) {
+    body[k] = static_cast<std::uint8_t>(k * 7);
+  }
+  auto stream = build_response(200, body);
+  const auto tail = build_error_response(404);
+  stream.insert(stream.end(), tail.begin(), tail.end());
+  HttpResponseParser p;
+  std::vector<std::uint8_t> got;
+  p.set_body_sink([&](std::size_t off, std::span<const std::uint8_t> c) {
+    EXPECT_EQ(off, got.size());
+    got.insert(got.end(), c.begin(), c.end());
+  });
+  EXPECT_EQ(p.feed(stream), 2u);
+  EXPECT_FALSE(p.error());
+  EXPECT_EQ(got, body);
+  EXPECT_EQ(p.body_bytes_total(), body.size());
+  EXPECT_EQ(p.last_status(), 404);
+}
+
+TEST(HttpResponse, EverySplitPointParsesTheSame) {
+  // Two chunks split at every offset of a two-response stream: the head
+  // terminator straddles the split in every possible position.
+  const std::vector<std::uint8_t> body = {'h', 'i', '\r', '\n'};
+  auto stream = build_response(200, body);
+  const auto second = build_response(200, body, false);
+  stream.insert(stream.end(), second.begin(), second.end());
+  for (std::size_t k = 0; k <= stream.size(); ++k) {
+    HttpResponseParser p;
+    const std::span<const std::uint8_t> s(stream);
+    std::size_t done = p.feed(s.first(k));
+    done += p.feed(s.subspan(k));
+    ASSERT_EQ(done, 2u) << "split at " << k;
+    ASSERT_EQ(p.body_bytes_total(), 2 * body.size()) << "split at " << k;
+    ASSERT_FALSE(p.error());
+  }
+}
+
 TEST(HttpRequestBuilder, RoundtripsThroughParser) {
   auto req = build_request("/file20");
   HttpRequestParser p;

@@ -47,6 +47,21 @@ TEST(Checksum, OddLengthHandled) {
   EXPECT_EQ(one.finish(), internet_checksum(padded));
 }
 
+namespace {
+/// Independent byte-pair reference implementation (straight RFC 1071 §1):
+/// the production word-wise bulk path is checked against this.
+std::uint16_t reference_checksum(std::span<const std::uint8_t> d) {
+  std::uint64_t s = 0;
+  std::size_t i = 0;
+  for (; i + 1 < d.size(); i += 2) {
+    s += static_cast<std::uint32_t>(d[i]) << 8 | d[i + 1];
+  }
+  if (i < d.size()) s += static_cast<std::uint32_t>(d[i]) << 8;
+  while (s >> 16) s = (s & 0xffff) + (s >> 16);
+  return static_cast<std::uint16_t>(~s);
+}
+}  // namespace
+
 class ChecksumChunking : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChecksumChunking, IncrementalEqualsOneShot) {
@@ -64,6 +79,20 @@ TEST_P(ChecksumChunking, IncrementalEqualsOneShot) {
     off += n;
   }
   EXPECT_EQ(acc.finish(), oneshot);
+
+  // TSO size, odd-length chunks: every other chunk starts on an odd byte,
+  // so the dangling-byte pairing hands the bulk kernel odd parity at
+  // 64 KiB.
+  std::vector<std::uint8_t> big(65536 - rng.below(2));
+  for (auto& b : big) b = static_cast<std::uint8_t>(rng());
+  ChecksumAccumulator big_acc;
+  for (off = 0; off < big.size();) {
+    const std::size_t n =
+        std::min<std::size_t>(1 + 2 * rng.below(4800), big.size() - off);
+    big_acc.add(std::span<const std::uint8_t>(big).subspan(off, n));
+    off += n;
+  }
+  EXPECT_EQ(big_acc.finish(), reference_checksum(big));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChecksumChunking,
@@ -87,21 +116,6 @@ TEST(Checksum, DetectsSingleByteCorruption) {
   }
 }
 
-namespace {
-/// Independent byte-pair reference implementation (straight RFC 1071 §1):
-/// the production word-wise bulk path is checked against this.
-std::uint16_t reference_checksum(std::span<const std::uint8_t> d) {
-  std::uint64_t s = 0;
-  std::size_t i = 0;
-  for (; i + 1 < d.size(); i += 2) {
-    s += static_cast<std::uint32_t>(d[i]) << 8 | d[i + 1];
-  }
-  if (i < d.size()) s += static_cast<std::uint32_t>(d[i]) << 8;
-  while (s >> 16) s = (s & 0xffff) + (s >> 16);
-  return static_cast<std::uint16_t>(~s);
-}
-}  // namespace
-
 TEST(Checksum, WordwiseFoldCarryBoundary) {
   // Regression: the word-wise bulk path once folded its 64-bit partial sum
   // a fixed number of times; sums landing exactly on the 0xffff boundary
@@ -116,8 +130,15 @@ TEST(Checksum, WordwiseFoldCarryBoundary) {
     ASSERT_EQ(internet_checksum(buf), reference_checksum(buf))
         << "tail word " << k;
   }
-  // And an all-saturated buffer at every length that enters the bulk path.
+  // And an all-saturated buffer at every length that enters the bulk path,
+  // plus the largest IPv4 payloads, where every accumulator takes its
+  // maximum on each word.
   for (std::size_t len = 8; len <= 80; ++len) {
+    std::vector<std::uint8_t> ones(len, 0xff);
+    ASSERT_EQ(internet_checksum(ones), reference_checksum(ones))
+        << "length " << len;
+  }
+  for (const std::size_t len : {65534u, 65535u}) {
     std::vector<std::uint8_t> ones(len, 0xff);
     ASSERT_EQ(internet_checksum(ones), reference_checksum(ones))
         << "length " << len;
@@ -130,6 +151,17 @@ TEST(Checksum, WordwiseMatchesReferenceOnRandomBuffers) {
     std::vector<std::uint8_t> data(1 + rng.below(300));
     for (auto& b : data) b = static_cast<std::uint8_t>(rng());
     ASSERT_EQ(internet_checksum(data), reference_checksum(data));
+  }
+  // TSO sizes up to the largest IPv4 payload, read from odd start offsets
+  // (unaligned word loads, the way a TCP payload sits in a frame).
+  std::vector<std::uint8_t> pool(65535 + 8);
+  for (auto& b : pool) b = static_cast<std::uint8_t>(rng());
+  for (int trial = 0; trial < 64; ++trial) {
+    const std::size_t off = 1 + 2 * rng.below(4);
+    const std::size_t len = trial == 0 ? 65535 : 1 + rng.below(65535);
+    const std::span<const std::uint8_t> d(pool.data() + off, len);
+    ASSERT_EQ(internet_checksum(d), reference_checksum(d))
+        << "length " << len << " offset " << off;
   }
 }
 
