@@ -80,6 +80,11 @@ struct RunOut {
   double fleet_p99_ms{0.0};
   std::map<int, HostOut> hosts;
   double wall_s{0.0};
+  /// Host-time rates over the leg's run_for calls (not gated; like wall_s
+  /// they vary run to run and are left out of same-seed comparisons):
+  /// backend NIC rx+tx frames, and events executed, per host second.
+  double pkts_per_host_sec{0.0};
+  double events_per_host_sec{0.0};
 };
 
 double ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
@@ -125,6 +130,8 @@ RunOut run_fleet(const Params& p, bool crash, const std::string& trace_out) {
 
   fleet.start_health_probing();
   for (auto& c : clients) c->start();
+  const auto sim0 = std::chrono::steady_clock::now();
+  const std::uint64_t events0 = fleet.sim.queue().executed();
   fleet.sim.run_for(p.warmup);
 
   RunOut out;
@@ -157,6 +164,17 @@ RunOut run_fleet(const Params& p, bool crash, const std::string& trace_out) {
   } else {
     fleet.sim.run_for(p.measure);
   }
+  const double sim_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - sim0)
+          .count();
+  std::uint64_t frames = 0;
+  for (std::size_t i = 0; i < fleet.backend_count(); ++i) {
+    const nic::NicStats& ns = fleet.backend(i).nic->stats();
+    frames += ns.rx_frames + ns.tx_frames;
+  }
+  out.pkts_per_host_sec = static_cast<double>(frames) / sim_s;
+  out.events_per_host_sec =
+      static_cast<double>(fleet.sim.queue().executed() - events0) / sim_s;
 
   std::vector<const obs::Hub*> client_hubs;
   for (std::size_t j = 0; j < fleet.client_count(); ++j) {
@@ -209,6 +227,8 @@ void add_run(JsonWriter& j, const std::string& prefix, const RunOut& r) {
   j.add(prefix + "rtt_p50_ms", r.fleet_p50_ms);
   j.add(prefix + "rtt_p99_ms", r.fleet_p99_ms);
   j.add(prefix + "wall_s", r.wall_s);
+  j.add(prefix + "pkts_per_host_sec", r.pkts_per_host_sec);
+  j.add(prefix + "events_per_host_sec", r.events_per_host_sec);
   for (const auto& [id, h] : r.hosts) {
     const std::string hp = prefix + "host" + std::to_string(id) + "_";
     j.add(hp + "conns", h.conns);
@@ -259,10 +279,12 @@ int main(int argc, char** argv) {
   std::printf("\n-- run A: undisturbed --\n");
   const RunOut base = run_fleet(p, /*crash=*/false, "");
   std::printf("established %llu, window responses %llu, fleet p50/p99 "
-              "%.3f/%.3f ms (%.1fs wall)\n",
+              "%.3f/%.3f ms (%.1fs wall, %.0f frames/host-s, %.0f "
+              "events/host-s)\n",
               static_cast<unsigned long long>(base.established),
               static_cast<unsigned long long>(base.window_responses),
-              base.fleet_p50_ms, base.fleet_p99_ms, base.wall_s);
+              base.fleet_p50_ms, base.fleet_p99_ms, base.wall_s,
+              base.pkts_per_host_sec, base.events_per_host_sec);
 
   std::printf("\n-- run B: same seed, host %d powered off mid-measure --\n",
               static_cast<int>(p.victim));
