@@ -62,17 +62,20 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 if [[ "$SKIP_SANITIZE" == 1 ]]; then
   echo "== sanitizer pass skipped =="
 else
-  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_fastpath / test_net_codec / test_tcp / test_http / test_apps_harness / test_workload / test_udp_e2e / test_defense / test_fleet / ext_perf / ext_workloads / ext_defense / ext_fleet =="
+  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_fastpath / test_flow_table / test_net_codec / test_tcp / test_http / test_apps_harness / test_workload / test_udp_e2e / test_defense / test_fleet / ext_perf / ext_workloads / ext_defense / ext_fleet =="
   cmake -B build-asan -S . -DNEAT_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "$JOBS" \
-    --target test_ipc test_obs test_chaos test_fastpath test_net_codec \
-             test_tcp test_http test_apps_harness test_workload \
+    --target test_ipc test_obs test_chaos test_fastpath test_flow_table \
+             test_net_codec test_tcp test_http test_apps_harness test_workload \
              test_udp_e2e test_defense test_fleet ext_perf ext_workloads \
              ext_defense ext_fleet
   ./build-asan/tests/test_ipc
   ./build-asan/tests/test_obs
   ./build-asan/tests/test_chaos
   ./build-asan/tests/test_fastpath
+  # The flow table moves keys and values by backward shift on every erase;
+  # a shift that dropped or duplicated a slot would show here first.
+  ./build-asan/tests/test_flow_table
   # The bulk byte path: the checksum kernel's unaligned word loads, the
   # TCP send ring's gather write, and the server's in-place body spans
   # (a body must outlive every short write that still points into it).

@@ -83,9 +83,13 @@ struct FlowKeyHash {
     h = h * 0x9e3779b97f4a7c15ULL + k.remote_ip.value;
     h = h * 0x9e3779b97f4a7c15ULL +
         (static_cast<std::uint64_t>(k.local_port) << 16 | k.remote_port);
-    h ^= h >> 29;
+    // The full splitmix64 finalizer: FlowTable masks the low bits, so they
+    // must depend on every input bit (sequential ephemeral ports included).
+    h ^= h >> 30;
     h *= 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 32;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebULL;
+    h ^= h >> 31;
     return static_cast<std::size_t>(h);
   }
 };
