@@ -108,15 +108,8 @@ void SteeringTier::remove_backend(int id) {
   probes_.erase(id);
   // Purge the dead backend's tracked flows: later client frames re-hash to
   // a survivor, whose TCP stack answers the unknown segments with RSTs.
-  std::size_t purged = 0;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (it->second == id) {
-      it = flows_.erase(it);
-      ++purged;
-    } else {
-      ++it;
-    }
-  }
+  const std::size_t purged = flows_.erase_if(
+      [id](const net::FlowKey&, int backend) { return backend == id; });
   stats_.flows_removed += purged;
   sim_.tracer().emit({sim_.now(), 0, "fleet", "backend_remove", 0, id,
                       "\"flows_purged\":" + std::to_string(purged)});
@@ -124,16 +117,15 @@ void SteeringTier::remove_backend(int id) {
 
 std::optional<int> SteeringTier::tracked_backend(
     const net::FlowKey& flow) const {
-  auto it = flows_.find(flow);
-  if (it == flows_.end()) return std::nullopt;
-  return it->second;
+  if (const int* backend = flows_.find(flow)) return *backend;
+  return std::nullopt;
 }
 
 std::vector<net::FlowKey> SteeringTier::tracked_flows_for(int id) const {
   std::vector<net::FlowKey> out;
-  for (const auto& [k, b] : flows_) {
-    if (b == id) out.push_back(k);
-  }
+  flows_.for_each([&out, id](const net::FlowKey& k, int backend) {
+    if (backend == id) out.push_back(k);
+  });
   return out;
 }
 
@@ -143,7 +135,7 @@ void SteeringTier::repoint_flows(const std::vector<net::FlowKey>& flows,
 }
 
 int SteeringTier::steer(const net::FlowKey& flow) const {
-  if (auto it = flows_.find(flow); it != flows_.end()) return it->second;
+  if (const int* backend = flows_.find(flow)) return *backend;
   return table_.lookup(flow);
 }
 
@@ -219,7 +211,7 @@ void SteeringTier::forward(Port& out, net::PacketPtr frame) {
 void SteeringTier::note_flow_flags(const net::FlowKey& canonical, bool rst,
                                    bool fin) {
   if (rst) {
-    if (flows_.erase(canonical) > 0) ++stats_.flows_removed;
+    if (flows_.erase(canonical)) ++stats_.flows_removed;
     return;
   }
   if (fin) {
@@ -228,7 +220,7 @@ void SteeringTier::note_flow_flags(const net::FlowKey& canonical, bool rst,
     // re-installs before the linger fires; erasing then is fine — the next
     // frame re-pins via the table, which is where a fresh flow goes anyway.
     sim_.queue().post(cfg_.fin_linger, [this, canonical] {
-      if (flows_.erase(canonical) > 0) ++stats_.flows_removed;
+      if (flows_.erase(canonical)) ++stats_.flows_removed;
     });
   }
 }
@@ -243,15 +235,15 @@ void SteeringTier::handle_client_frame(net::PacketPtr frame) {
   // is already in canonical orientation: local = VIP:port, remote = client.
   const net::FlowKey& key = flow->key;
   int backend = -1;
-  if (auto it = flows_.find(key); it != flows_.end()) {
-    backend = it->second;
+  if (const int* pinned = flows_.find(key)) {
+    backend = *pinned;
   } else {
     backend = table_.lookup(key);
     if (backend >= 0 && flow->is_tcp && flow->syn) {
       // Pin on SYN only: mid-flow frames with no entry belong to purged
       // (dead-host) flows — steer them to a survivor for the RST, but do
       // not resurrect the pin.
-      flows_.emplace(key, backend);
+      flows_.try_emplace(key, backend);
       ++stats_.flows_installed;
     }
   }

@@ -40,6 +40,7 @@
 
 #include "fleet/maglev.hpp"
 #include "net/addr.hpp"
+#include "net/flow_table.hpp"
 #include "net/packet.hpp"
 #include "nic/nic.hpp"
 #include "obs/obs.hpp"
@@ -176,7 +177,7 @@ class SteeringTier {
   std::vector<std::unique_ptr<Port>> ports_;
   std::unordered_map<int, std::size_t> backend_ports_;  // id -> port idx
   std::unordered_map<std::uint32_t, std::size_t> client_ports_;  // ip -> idx
-  std::unordered_map<net::FlowKey, int, net::FlowKeyHash> flows_;
+  net::FlowTable<int> flows_;
   std::unordered_map<int, ProbeState> probes_;
   std::function<void(int)> on_down_;
   sim::EventHandle probe_timer_;

@@ -935,8 +935,8 @@ void TcpStack::rx(Ipv4Addr src, Ipv4Addr dst, PacketPtr pkt) {
   }
   if (h->rst) ++stats_.rsts_in;
   const FlowKey key{dst, h->dst_port, src, h->src_port};
-  if (auto it = conns_.find(key); it != conns_.end()) {
-    TcpSocketPtr s = it->second;  // keep alive: handler may close/erase
+  if (const TcpSocketPtr* found = conns_.find(key)) {
+    TcpSocketPtr s = *found;  // keep alive: handler may close/erase
     s->on_segment(*h, std::move(pkt));
     return;
   }
@@ -1165,12 +1165,12 @@ void TcpStack::socket_closed(TcpSocket& s) { erase_conn(s.flow()); }
 
 std::size_t TcpStack::active_connection_count() const {
   std::size_t n = 0;
-  for (const auto& [key, sock] : conns_) {
+  conns_.for_each([&n](const FlowKey&, const TcpSocketPtr& sock) {
     if (sock->state() != TcpState::kTimeWait &&
         sock->state() != TcpState::kClosed) {
       ++n;
     }
-  }
+  });
   return n;
 }
 
@@ -1179,15 +1179,17 @@ void TcpStack::for_each_connection(
   // Copy handles first: fn may close sockets and mutate the table.
   std::vector<TcpSocketPtr> snapshot;
   snapshot.reserve(conns_.size());
-  for (auto& [key, sock] : conns_) snapshot.push_back(sock);
+  conns_.for_each([&snapshot](const FlowKey&, const TcpSocketPtr& sock) {
+    snapshot.push_back(sock);
+  });
   for (auto& s : snapshot) fn(*s);
 }
 
 TcpCheckpoint TcpStack::snapshot() const {
   TcpCheckpoint cp;
   cp.taken_at = env_.now();
-  for (const auto& [key, sock] : conns_) {
-    if (sock->state_ != TcpState::kEstablished) continue;
+  conns_.for_each([&cp](const FlowKey& key, const TcpSocketPtr& sock) {
+    if (sock->state_ != TcpState::kEstablished) return;
     TcpConnSnapshot s;
     s.flow = key;
     s.iss = sock->iss_;
@@ -1202,7 +1204,7 @@ TcpCheckpoint TcpStack::snapshot() const {
     sock->recv_ring_.peek(s.recv_buf);
     s.snd_nxt = sock->snd_nxt_;
     cp.conns.push_back(std::move(s));
-  }
+  });
   return cp;
 }
 
@@ -1210,9 +1212,9 @@ TcpCheckpoint TcpStack::extract_for_migration() {
   TcpCheckpoint cp;
   cp.taken_at = env_.now();
   std::vector<TcpSocketPtr> moving;
-  for (const auto& [key, sock] : conns_) {
+  conns_.for_each([&moving](const FlowKey&, const TcpSocketPtr& sock) {
     if (sock->state_ == TcpState::kEstablished) moving.push_back(sock);
-  }
+  });
   for (const auto& sock : moving) {
     TcpConnSnapshot s;
     s.flow = sock->flow_;
@@ -1241,7 +1243,7 @@ TcpCheckpoint TcpStack::extract_for_migration() {
       }
     }
     cp.conns.push_back(std::move(s));
-    migrated_out_.insert(sock->flow_);
+    migrated_out_.try_emplace(sock->flow_);
     // Remove silently, like destroy_all_state(): no FIN, no RST. The peer
     // must observe nothing but a short pause — the connection continues
     // from the checkpoint at the target. Drop the receive side so an app
@@ -1337,8 +1339,7 @@ std::vector<TcpSocketPtr> TcpStack::restore(const TcpCheckpoint& cp) {
 }
 
 void TcpStack::destroy_all_state() {
-  auto conns = std::move(conns_);
-  conns_.clear();
+  auto conns = std::move(conns_);  // leaves conns_ empty
   dirty_socks_.clear();  // pending edges die with the crash
   in_batch_ = false;
   port_use_.reset();
@@ -1347,13 +1348,13 @@ void TcpStack::destroy_all_state() {
   pending_handshakes_ = 0;
   // Sockets die silently: no FIN, no RST — exactly what a crash looks like
   // to the peers. Destructors cancel all timers.
-  for (auto& [key, sock] : conns) {
+  conns.for_each([](const FlowKey&, const TcpSocketPtr& sock) {
     sock->state_ = TcpState::kClosed;
     sock->rto_timer_.cancel();
     sock->rto_deadline_ = 0;
     sock->ack_timer_.cancel();
     sock->time_wait_timer_.cancel();
-  }
+  });
 }
 
 }  // namespace neat::net

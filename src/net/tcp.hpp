@@ -29,12 +29,12 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ipc/byte_ring.hpp"
 #include "obs/obs.hpp"
 #include "net/addr.hpp"
+#include "net/flow_table.hpp"
 #include "net/packet.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -604,7 +604,7 @@ class TcpStack {
     }
   }
   void erase_conn(const FlowKey& key) {
-    if (conns_.erase(key) > 0 && key.local_port >= kEphemeralFirst) {
+    if (conns_.erase(key) && key.local_port >= kEphemeralFirst) {
       --port_use_[key.local_port - kEphemeralFirst];
     }
   }
@@ -613,7 +613,7 @@ class TcpStack {
   Ipv4Addr local_ip_;
   TcpConfig cfg_;
   TcpStats stats_;
-  std::unordered_map<FlowKey, TcpSocketPtr, FlowKeyHash> conns_;
+  FlowTable<TcpSocketPtr> conns_;
   /// The range ephemeral_port() hands out: 49152-65535.
   static constexpr std::uint16_t kEphemeralFirst = 49152;
   static constexpr std::size_t kEphemeralPorts = 65536 - kEphemeralFirst;
@@ -625,7 +625,7 @@ class TcpStack {
   std::unique_ptr<std::uint32_t[]> port_use_;
   /// Flows extracted for migration: stale frames still in this replica's
   /// RX channel must be dropped, not RST'd (erased if the flow returns).
-  std::unordered_set<FlowKey, FlowKeyHash> migrated_out_;
+  FlowSet migrated_out_;
   std::unordered_map<std::uint16_t, std::unique_ptr<TcpListener>> listeners_;
   std::uint16_t next_ephemeral_{0};
   std::size_t pending_handshakes_{0};
