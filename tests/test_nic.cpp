@@ -3,7 +3,10 @@
 // accounting.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <random>
+#include <span>
 #include <vector>
 
 #include "net/ethernet.hpp"
@@ -55,6 +58,51 @@ TEST(Toeplitz, MicrosoftVerificationVectors) {
         << "4-tuple hash for " << int{v.s0} << "." << int{v.s1};
     EXPECT_EQ(h.hash_ip_pair(src, dst), v.ip_only)
         << "2-tuple hash for " << int{v.s0} << "." << int{v.s1};
+  }
+}
+
+/// The Toeplitz hash as the RSS specification states it, one input bit at
+/// a time: a reference for the table-driven hasher.
+std::uint32_t bit_serial_toeplitz(std::span<const std::uint8_t> input) {
+  const auto& key = kDefaultRssKey;
+  std::uint32_t result = 0;
+  std::uint32_t window = static_cast<std::uint32_t>(key[0]) << 24 |
+                         static_cast<std::uint32_t>(key[1]) << 16 |
+                         static_cast<std::uint32_t>(key[2]) << 8 |
+                         static_cast<std::uint32_t>(key[3]);
+  std::size_t next_bit = 32;
+  for (const std::uint8_t byte : input) {
+    for (int bit = 7; bit >= 0; --bit) {
+      if (byte >> bit & 1) result ^= window;
+      const std::size_t k = next_bit++ % (key.size() * 8);
+      window = window << 1 | (key[k / 8] >> (7 - k % 8) & 1);
+    }
+  }
+  return result;
+}
+
+TEST(Toeplitz, TablesMatchTheBitSerialDefinition) {
+  ToeplitzHasher h;
+  std::mt19937_64 rng(20161212);
+  for (int i = 0; i < 20000; ++i) {
+    const auto src = net::Ipv4Addr{static_cast<std::uint32_t>(rng())};
+    const auto dst = net::Ipv4Addr{static_cast<std::uint32_t>(rng())};
+    const auto sport = static_cast<std::uint16_t>(rng());
+    const auto dport = static_cast<std::uint16_t>(rng());
+    std::array<std::uint8_t, 12> in{};
+    for (int b = 0; b < 4; ++b) {
+      in[b] = static_cast<std::uint8_t>(src.value >> (24 - 8 * b));
+      in[4 + b] = static_cast<std::uint8_t>(dst.value >> (24 - 8 * b));
+    }
+    in[8] = static_cast<std::uint8_t>(sport >> 8);
+    in[9] = static_cast<std::uint8_t>(sport);
+    in[10] = static_cast<std::uint8_t>(dport >> 8);
+    in[11] = static_cast<std::uint8_t>(dport);
+    ASSERT_EQ(h.hash_tuple(src, dst, sport, dport), bit_serial_toeplitz(in))
+        << src.str() << ":" << sport << " -> " << dst.str() << ":" << dport;
+    ASSERT_EQ(h.hash_ip_pair(src, dst),
+              bit_serial_toeplitz(std::span(in).first(8)))
+        << src.str() << " -> " << dst.str();
   }
 }
 
