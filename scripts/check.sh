@@ -62,13 +62,13 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 if [[ "$SKIP_SANITIZE" == 1 ]]; then
   echo "== sanitizer pass skipped =="
 else
-  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_fastpath / test_flow_table / test_net_codec / test_tcp / test_http / test_apps_harness / test_workload / test_udp_e2e / test_defense / test_fleet / ext_perf / ext_workloads / ext_defense / ext_fleet =="
+  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_fastpath / test_flow_table / test_net_codec / test_tcp / test_http / test_apps_harness / test_workload / test_udp_e2e / test_defense / test_fleet / test_replica / test_recovery / ext_perf / ext_workloads / ext_defense / ext_fleet =="
   cmake -B build-asan -S . -DNEAT_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "$JOBS" \
     --target test_ipc test_obs test_chaos test_fastpath test_flow_table \
              test_net_codec test_tcp test_http test_apps_harness test_workload \
-             test_udp_e2e test_defense test_fleet ext_perf ext_workloads \
-             ext_defense ext_fleet
+             test_udp_e2e test_defense test_fleet test_replica test_recovery \
+             ext_perf ext_workloads ext_defense ext_fleet
   ./build-asan/tests/test_ipc
   ./build-asan/tests/test_obs
   ./build-asan/tests/test_chaos
@@ -94,6 +94,11 @@ else
   # Cross-host extract/adopt moves sockets between whole hosts; ASan must
   # see every checkpoint buffer and husk fd die exactly once.
   ./build-asan/tests/test_fleet
+  # Crashes mid-burst: a replica's queued egress flush job must never touch
+  # staged packets that died with their process, and recovery must re-arm
+  # the stager cleanly.
+  ./build-asan/tests/test_replica
+  ./build-asan/tests/test_recovery
   # One short end-to-end pass over the pooled data path under ASan: buffer
   # recycling must be invisible to the sanitizer.
   (cd build-asan/bench && ./ext_perf --quick)

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "ipc/channel.hpp"
@@ -51,13 +50,9 @@ class NicDriver : public sim::Process {
 
   [[nodiscard]] bool endpoint_active(int queue) const;
 
-  /// Create a TX channel for one replica (producer side keeps the handle).
-  /// Packets sent into it are charged driver TX cost and transmitted.
-  std::unique_ptr<ipc::Channel<net::PacketPtr>> make_tx_channel(
-      std::size_t capacity = 1024);
-
   /// A transmit port for one replica. Normally it wraps a TX channel into
-  /// the driver process; in hardware-offload mode it feeds the NIC
+  /// the driver process (each packet is charged driver TX cost, then
+  /// transmitted); in hardware-offload mode it feeds the NIC
   /// directly (§4: "if the programmable NIC were to offer the same
   /// interface as the network driver, there would be no need for the
   /// drivers and we could free their cores").

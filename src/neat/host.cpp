@@ -408,9 +408,7 @@ void NeatHost::inject_crash(StackReplica& replica, Component component) {
   assert(proc != nullptr);
   if (proc->crashed()) return;
 
-  const bool tcp_loss =
-      component == Component::kTcp || component == Component::kWhole ||
-      std::string_view(replica.kind()) == "single";
+  const bool tcp_loss = replica.loses_tcp_state(component);
   RecoveryEvent ev;
   ev.at = sim_.now();
   ev.replica_id = replica.id();
@@ -430,8 +428,8 @@ void NeatHost::inject_crash(StackReplica& replica, Component component) {
   proc->crash();
   // The driver stops passing packets to the replica until it announces
   // itself again (§3.6) — only needed when the RX-facing component died.
-  if (component == Component::kIp || component == Component::kWhole ||
-      std::string_view(replica.kind()) == "single") {
+  if (component == Component::kWhole ||
+      proc == &replica.rx_channel().consumer()) {
     driver_->deactivate_endpoint(replica.queue());
   }
 }
@@ -478,9 +476,7 @@ std::size_t NeatHost::recover_replica(StackReplica& replica,
   proc->restart();
   replica.reset_after_restart(component);
   replica.rx_channel().rebind(replica.rx_channel().consumer());
-  const bool tcp_loss =
-      component == Component::kTcp || component == Component::kWhole ||
-      std::string_view(replica.kind()) == "single";
+  const bool tcp_loss = replica.loses_tcp_state(component);
   std::size_t restored_count = 0;
   if (tcp_loss) {
     // Stateful recovery: restore whatever the last checkpoint captured
@@ -500,8 +496,7 @@ std::size_t NeatHost::recover_replica(StackReplica& replica,
   }
   // The UDP port mux died whenever its hosting process did (always, for a
   // single-component replica). Re-install the durable binds.
-  if (component == Component::kUdp ||
-      std::string_view(replica.kind()) == "single") {
+  if (proc == replica.component(Component::kUdp)) {
     replay_udp_binds(replica);
   }
   // Replica announces itself; the driver resumes delivery.

@@ -102,19 +102,43 @@ std::optional<IpLayer::Decoded> IpLayer::rx_frame(
   return Decoded{complete->header, complete->payload};
 }
 
+void IpLayer::icmp_rx(const net::Ipv4Header& hdr, net::Packet& payload) {
+  auto icmp = net::IcmpMessage::decode(payload);
+  if (!icmp || icmp->type != net::IcmpMessage::Type::kEchoRequest) return;
+  auto reply = net::Packet::of(payload.bytes());
+  net::IcmpMessage r = *icmp;
+  r.type = net::IcmpMessage::Type::kEchoReply;
+  r.encode(*reply);
+  send(std::move(reply), net::IpProto::kIcmp, hdr.dst, hdr.src);
+}
+
 void IpLayer::reset() {
-  arp_ = net::ArpResolver(
-      mac_, ip_, [this](const net::ArpMessage& m, net::MacAddr dst) {
-        auto pkt = m.encode();
-        net::EthernetHeader eth;
-        eth.src = mac_;
-        eth.dst = dst;
-        eth.type = net::EtherType::kArp;
-        eth.encode(*pkt);
-        tx_frame_(std::move(pkt));
-      });
+  arp_.clear();
   reasm_.expire_all();
   ident_ = 1;
+}
+
+// ---------------------------------------------------------------------------
+// TxBurst
+// ---------------------------------------------------------------------------
+
+void TxBurst::flush() {
+  armed_ = false;
+  if (const sim::Cycles rest = std::exchange(rest_cost_, sim::Cycles{0});
+      rest > 0) {
+    proc_.post(rest, [] {});  // CPU time for packets 2..N of the burst
+  }
+  if (stage_.empty()) return;
+  auto burst = std::move(stage_);
+  stage_.clear();
+  for (auto& s : burst) {
+    if (s.proto != net::IpProto::kUdp) continue;
+    net::UdpHeader uh;
+    uh.src_port = s.src_port;
+    uh.dst_port = s.dst_port;
+    uh.encode(*s.pkt, s.src, s.dst);
+  }
+  emit_(burst);
 }
 
 // ---------------------------------------------------------------------------
@@ -132,14 +156,13 @@ SingleComponentReplica::SingleComponentReplica(
       rng_(sim.rng().split(0x5e9 + static_cast<std::uint64_t>(id))),
       hub_(hub),
       driver_(&driver),
-      tx_port_(driver.make_tx_port()),
+      ip_(mac, ip, driver.make_tx_port()),
       rx_ch_(
           *this, 2048, ipc::kDefaultChannelLatency,
           [this](const net::PacketPtr& p) {
             return costs_.single_rx_base + costs_.bytes_cost(p->size());
           },
-          [this](net::PacketPtr&& p) { handle_frame(std::move(p)); }),
-      ip_(mac, ip, [this](net::PacketPtr f) { tx_port_(std::move(f)); }),
+          nullptr),
       tcp_stack_(*this, ip, tcp_cfg) {
   // Burst mode: one channel delivery job hands the whole frame batch over;
   // TCP segments are regrouped and consumed by TcpStack::rx_batch with
@@ -157,57 +180,23 @@ sim::EventHandle SingleComponentReplica::start_timer(
 
 void SingleComponentReplica::tx(net::PacketPtr segment, net::Ipv4Addr src,
                                 net::Ipv4Addr dst) {
-  if (crashed()) return;
-  // Charge segment-construction cost in our own context. The segment is
-  // staged now and emitted by flush_tx() when the burst's first tx job
-  // completes: by then the enclosing job (an rx_batch, a timer) has staged
-  // the whole burst, so it leaves at ONE virtual instant and downstream
-  // flush windows see it as one batch. Only the first packet posts a job;
-  // the rest accumulate cost that the flush charges in one accounting job
-  // (see StagedTx).
+  // Charge segment-construction cost in our own context; the segment
+  // leaves with the rest of its burst (see TxBurst).
   const sim::Cycles c =
       costs_.single_tx_base + costs_.bytes_cost(segment->size());
-  tx_stage_.push_back({std::move(segment), src, dst, net::IpProto::kTcp, 0, 0});
-  if (tx_flush_armed_) {
-    tx_stage_cost_ += c;
-  } else {
-    tx_flush_armed_ = true;
-    post(c, [this] { flush_tx(); });
-  }
+  egress_.stage(c, {std::move(segment), src, dst, net::IpProto::kTcp, 0, 0});
 }
 
-void SingleComponentReplica::flush_tx() {
-  tx_flush_armed_ = false;
-  if (const sim::Cycles rest = std::exchange(tx_stage_cost_, sim::Cycles{0});
-      rest > 0) {
-    post(rest, [] {});  // CPU time for packets 2..N of the burst
-  }
-  if (tx_stage_.empty()) return;
-  auto stage = std::move(tx_stage_);
-  tx_stage_.clear();
-  for (auto& s : stage) {
-    if (s.proto == net::IpProto::kUdp) {
-      net::UdpHeader uh;
-      uh.src_port = s.src_port;
-      uh.dst_port = s.dst_port;
-      uh.encode(*s.pkt, s.src, s.dst);
-      ip_.send(std::move(s.pkt), net::IpProto::kUdp, s.src, s.dst);
-      continue;
-    }
-    if (s.dst == ip_.ip()) {
+void SingleComponentReplica::emit(std::span<StagedTx> burst) {
+  for (auto& s : burst) {
+    if (s.proto == net::IpProto::kTcp && s.dst == ip_.ip()) {
       // Loopback: each replica implements its own loopback device (§3.3).
       handle_ip(net::Ipv4Header{s.src, s.dst, net::IpProto::kTcp},
                 std::move(s.pkt));
       continue;
     }
-    ip_.send(std::move(s.pkt), net::IpProto::kTcp, s.src, s.dst);
+    ip_.send(std::move(s.pkt), s.proto, s.src, s.dst);
   }
-}
-
-void SingleComponentReplica::handle_frame(net::PacketPtr frame) {
-  auto decoded = ip_.rx_frame(frame);
-  if (!decoded) return;
-  handle_ip(decoded->hdr, decoded->payload);
 }
 
 void SingleComponentReplica::handle_frame_batch(
@@ -222,7 +211,7 @@ void SingleComponentReplica::handle_frame_batch(
     auto decoded = ip_.rx_frame(f);
     if (!decoded) continue;
     if (decoded->hdr.proto == net::IpProto::kTcp) {
-      if (!pf_pass(decoded->hdr, *decoded->payload)) continue;
+      if (!pf_.accept_packet(decoded->hdr, *decoded->payload)) continue;
       segs.push_back({decoded->hdr.src, decoded->hdr.dst,
                       std::move(decoded->payload)});
     } else {
@@ -235,24 +224,9 @@ void SingleComponentReplica::handle_frame_batch(
   });
 }
 
-bool SingleComponentReplica::pf_pass(const net::Ipv4Header& hdr,
-                                     const net::Packet& payload) const {
-  // Packet filter consultation is free when no rules are installed.
-  if (pf_.rule_count() == 0) return true;
-  std::uint16_t sport = 0;
-  std::uint16_t dport = 0;
-  const auto b = payload.bytes();
-  if ((hdr.proto == net::IpProto::kTcp || hdr.proto == net::IpProto::kUdp) &&
-      b.size() >= 4) {
-    sport = static_cast<std::uint16_t>(b[0] << 8 | b[1]);
-    dport = static_cast<std::uint16_t>(b[2] << 8 | b[3]);
-  }
-  return pf_.accept(hdr.proto, hdr.src, hdr.dst, sport, dport);
-}
-
 void SingleComponentReplica::handle_ip(const net::Ipv4Header& hdr,
                                        net::PacketPtr payload) {
-  if (!pf_pass(hdr, *payload)) return;
+  if (!pf_.accept_packet(hdr, *payload)) return;
   switch (hdr.proto) {
     case net::IpProto::kTcp:
       tcp_stack_.rx(hdr.src, hdr.dst, std::move(payload));
@@ -262,33 +236,18 @@ void SingleComponentReplica::handle_ip(const net::Ipv4Header& hdr,
       if (uh) udp_.deliver(*uh, hdr.src, hdr.dst, std::move(payload));
       break;
     }
-    case net::IpProto::kIcmp: {
-      auto icmp = net::IcmpMessage::decode(*payload);
-      if (icmp && icmp->type == net::IcmpMessage::Type::kEchoRequest) {
-        auto reply = net::Packet::of(payload->bytes());
-        net::IcmpMessage r = *icmp;
-        r.type = net::IcmpMessage::Type::kEchoReply;
-        r.encode(*reply);
-        ip_.send(std::move(reply), net::IpProto::kIcmp, hdr.dst, hdr.src);
-      }
+    case net::IpProto::kIcmp:
+      ip_.icmp_rx(hdr, *payload);
       break;
-    }
   }
 }
 
 void SingleComponentReplica::udp_tx(net::PacketPtr payload,
                                     std::uint16_t src_port, net::SockAddr to) {
-  if (crashed()) return;
   const sim::Cycles c =
       costs_.udp_per_packet + costs_.bytes_cost(payload->size());
-  tx_stage_.push_back({std::move(payload), ip_.ip(), to.ip,
-                       net::IpProto::kUdp, src_port, to.port});
-  if (tx_flush_armed_) {
-    tx_stage_cost_ += c;
-  } else {
-    tx_flush_armed_ = true;
-    post(c, [this] { flush_tx(); });
-  }
+  egress_.stage(c, {std::move(payload), ip_.ip(), to.ip, net::IpProto::kUdp,
+                    src_port, to.port});
 }
 
 void SingleComponentReplica::on_flow_established(const net::FlowKey& key) {
@@ -300,9 +259,7 @@ void SingleComponentReplica::on_crash() {
   tcp_stack_.destroy_all_state();
   ip_.reset();
   udp_.clear();
-  tx_stage_.clear();  // staged egress dies with the process
-  tx_stage_cost_ = 0;
-  tx_flush_armed_ = false;  // the queued flush job died with the process
+  egress_.clear();
 }
 
 void SingleComponentReplica::reset_after_restart(Component) {
@@ -310,9 +267,6 @@ void SingleComponentReplica::reset_after_restart(Component) {
   ip_.reset();
   udp_.clear();
   pf_.clear();
-  tx_stage_.clear();
-  tx_stage_cost_ = 0;
-  tx_flush_armed_ = false;
   rerandomize_layout();  // a fresh process image -> fresh ASLR layout
 }
 
@@ -336,31 +290,12 @@ sim::EventHandle TcpComponent::start_timer(sim::SimTime delay,
 
 void TcpComponent::tx(net::PacketPtr segment, net::Ipv4Addr src,
                       net::Ipv4Addr dst) {
-  if (crashed()) return;
-  // Stage now, emit when the burst's first tx job completes — the whole
-  // burst is staged by then and leaves at one instant, so the tcp->ip
-  // channel's flush window sees it as one batch. Later packets of the
-  // burst skip the job and just accumulate cost (see StagedTx).
   const sim::Cycles c = costs_.tcp_tx_base + costs_.bytes_cost(segment->size());
-  tx_stage_.push_back({std::move(segment), src, dst, net::IpProto::kTcp, 0, 0});
-  if (tx_flush_armed_) {
-    tx_stage_cost_ += c;
-  } else {
-    tx_flush_armed_ = true;
-    post(c, [this] { flush_tx(); });
-  }
+  egress_.stage(c, {std::move(segment), src, dst, net::IpProto::kTcp, 0, 0});
 }
 
-void TcpComponent::flush_tx() {
-  tx_flush_armed_ = false;
-  if (const sim::Cycles rest = std::exchange(tx_stage_cost_, sim::Cycles{0});
-      rest > 0) {
-    post(rest, [] {});  // CPU time for packets 2..N of the burst
-  }
-  if (tx_stage_.empty()) return;
-  auto stage = std::move(tx_stage_);
-  tx_stage_.clear();
-  for (auto& s : stage) {
+void TcpComponent::emit(std::span<StagedTx> burst) {
+  for (auto& s : burst) {
     if (s.dst == tcp_stack_.local_ip()) {
       // Loopback short-circuits inside the TCP component.
       post(costs_.tcp_rx_base + costs_.bytes_cost(s.pkt->size()),
@@ -385,9 +320,7 @@ obs::Hub* TcpComponent::obs_hub() {
 
 void TcpComponent::on_crash() {
   tcp_stack_.destroy_all_state();
-  tx_stage_.clear();  // staged egress dies with the process
-  tx_stage_cost_ = 0;
-  tx_flush_armed_ = false;  // the queued flush job died with the process
+  egress_.clear();
 }
 
 IpComponent::IpComponent(sim::Simulator& sim, MultiComponentReplica& owner,
@@ -408,6 +341,9 @@ void IpComponent::handle_frame(net::PacketPtr frame) {
   auto decoded = ip_.rx_frame(frame);
   if (!decoded) return;
   const auto& hdr = decoded->hdr;
+  // Filtering happens in IP context at no modeled cost, as in the
+  // single-component replica; the rules live in the PF process.
+  if (!owner_.filter().accept_packet(hdr, *decoded->payload)) return;
   switch (hdr.proto) {
     case net::IpProto::kTcp:
       owner_.ip_to_tcp_->send(MultiComponentReplica::IpToTcp{
@@ -417,28 +353,14 @@ void IpComponent::handle_frame(net::PacketPtr frame) {
       owner_.ip_to_udp_->send(MultiComponentReplica::IpToTcp{
           hdr.src, hdr.dst, std::move(decoded->payload)});
       break;
-    case net::IpProto::kIcmp: {
-      auto icmp = net::IcmpMessage::decode(*decoded->payload);
-      if (icmp && icmp->type == net::IcmpMessage::Type::kEchoRequest) {
-        auto reply = net::Packet::of(decoded->payload->bytes());
-        net::IcmpMessage r = *icmp;
-        r.type = net::IcmpMessage::Type::kEchoReply;
-        r.encode(*reply);
-        ip_.send(std::move(reply), net::IpProto::kIcmp, hdr.dst, hdr.src);
-      }
+    case net::IpProto::kIcmp:
+      ip_.icmp_rx(hdr, *decoded->payload);
       break;
-    }
   }
 }
 
 void IpComponent::on_crash() { ip_.reset(); }
 void IpComponent::on_restart() { ip_.reset(); }
-
-UdpComponent::UdpComponent(sim::Simulator& sim, MultiComponentReplica& owner,
-                           std::string name)
-    : sim::Process(sim, std::move(name)), owner_(owner) {
-  (void)owner_;
-}
 
 FilterComponent::FilterComponent(sim::Simulator& sim, std::string name)
     : sim::Process(sim, std::move(name)) {}
@@ -453,13 +375,19 @@ MultiComponentReplica::MultiComponentReplica(
       hub_(hub),
       driver_(&driver) {
   const std::string base = "multi" + std::to_string(id);
-  drv_tx_ = driver.make_tx_port();
   tcp_proc_ = std::make_unique<TcpComponent>(sim, *this, base + ".tcp", ip,
                                              costs, tcp_cfg);
-  ip_proc_ = std::make_unique<IpComponent>(
-      sim, *this, base + ".ip", mac, ip, costs,
-      [tx = drv_tx_](net::PacketPtr f) { tx(std::move(f)); });
-  udp_proc_ = std::make_unique<UdpComponent>(sim, *this, base + ".udp");
+  ip_proc_ = std::make_unique<IpComponent>(sim, *this, base + ".ip", mac, ip,
+                                           costs, driver.make_tx_port());
+  udp_proc_ = std::make_unique<UdpComponent>(
+      sim, base + ".udp", [this](std::span<StagedTx> burst) {
+        // Reuses the transport→IP channel; the IP component pays its usual
+        // TX cost and encapsulates in its own context.
+        for (auto& s : burst) {
+          tcp_to_ip_->send(TcpToIp{std::move(s.pkt), s.src, s.dst,
+                                   net::IpProto::kUdp});
+        }
+      });
   pf_proc_ = std::make_unique<FilterComponent>(sim, base + ".pf");
 
   ip_to_tcp_ = std::make_unique<ipc::Channel<IpToTcp>>(
@@ -467,9 +395,7 @@ MultiComponentReplica::MultiComponentReplica(
       [this](const IpToTcp& m) {
         return costs_.tcp_rx_base + costs_.bytes_cost(m.seg->size());
       },
-      [this](IpToTcp&& m) {
-        tcp_proc_->stack().rx(m.src, m.dst, std::move(m.seg));
-      });
+      nullptr);
   // Burst mode: the IP→TCP crossing delivers a whole batch per consumer
   // job; the stack consumes it with per-burst bookkeeping. The messages
   // already ARE SegmentArrivals, so the batch moves without repacking.
@@ -485,10 +411,7 @@ MultiComponentReplica::MultiComponentReplica(
       [this](const IpToTcp& m) {
         return costs_.udp_per_packet + costs_.bytes_cost(m.seg->size());
       },
-      [this](IpToTcp&& m) {
-        auto uh = net::UdpHeader::decode(*m.seg, m.src, m.dst);
-        if (uh) udp_proc_->mux().deliver(*uh, m.src, m.dst, std::move(m.seg));
-      });
+      nullptr);
   // UDP consumes bursts too: one delivery job drains the whole batch.
   ip_to_udp_->set_batch_handler([this](std::vector<IpToTcp>&& batch) {
     const auto ep = udp_proc_->epoch();
@@ -505,44 +428,16 @@ MultiComponentReplica::MultiComponentReplica(
         return costs_.ip_tx_base + costs_.bytes_cost(m.payload->size());
       },
       [this](TcpToIp&& m) {
-        ip_proc_->ip_send(std::move(m.payload), m.proto, m.src, m.dst);
+        ip_proc_->layer().send(std::move(m.payload), m.proto, m.src, m.dst);
       });
 }
 
 void MultiComponentReplica::udp_tx(net::PacketPtr payload,
                                    std::uint16_t src_port, net::SockAddr to) {
-  if (udp_proc_->crashed()) return;
   const sim::Cycles c =
       costs_.udp_per_packet + costs_.bytes_cost(payload->size());
-  udp_stage_.push_back({std::move(payload), ip_proc_->layer().ip(), to.ip,
-                        net::IpProto::kUdp, src_port, to.port});
-  if (udp_flush_armed_) {
-    udp_stage_cost_ += c;
-  } else {
-    udp_flush_armed_ = true;
-    udp_proc_->post(c, [this] { flush_udp_tx(); });
-  }
-}
-
-void MultiComponentReplica::flush_udp_tx() {
-  udp_flush_armed_ = false;
-  if (const sim::Cycles rest = std::exchange(udp_stage_cost_, sim::Cycles{0});
-      rest > 0) {
-    udp_proc_->post(rest, [] {});  // CPU time for datagrams 2..N of the burst
-  }
-  if (udp_stage_.empty()) return;
-  auto stage = std::move(udp_stage_);
-  udp_stage_.clear();
-  for (auto& s : stage) {
-    net::UdpHeader uh;
-    uh.src_port = s.src_port;
-    uh.dst_port = s.dst_port;
-    uh.encode(*s.pkt, s.src, s.dst);
-    // Reuses the transport→IP channel; the IP component pays its usual TX
-    // cost and encapsulates in its own context.
-    tcp_to_ip_->send(TcpToIp{std::move(s.pkt), s.src, s.dst,
-                             net::IpProto::kUdp});
-  }
+  udp_proc_->egress().stage(c, {std::move(payload), ip_proc_->layer().ip(),
+                                to.ip, net::IpProto::kUdp, src_port, to.port});
 }
 
 std::vector<sim::Process*> MultiComponentReplica::processes() {
@@ -576,9 +471,6 @@ void MultiComponentReplica::reset_after_restart(Component which) {
       break;
     case Component::kUdp:
       udp_proc_->mux().clear();
-      udp_stage_.clear();
-      udp_stage_cost_ = 0;
-      udp_flush_armed_ = false;
       ip_to_udp_->rebind(*udp_proc_);
       break;
     case Component::kFilter:

@@ -16,7 +16,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "drv/driver.hpp"
@@ -61,6 +63,9 @@ class IpLayer {
   /// IPv4 datagram (post-reassembly) is returned.
   std::optional<Decoded> rx_frame(const net::PacketPtr& frame);
 
+  /// Answer an ICMP echo request addressed to us; other ICMP is ignored.
+  void icmp_rx(const net::Ipv4Header& hdr, net::Packet& payload);
+
   [[nodiscard]] net::ArpResolver& arp() { return arp_; }
   [[nodiscard]] net::Ipv4Addr ip() const { return ip_; }
   [[nodiscard]] net::MacAddr mac() const { return mac_; }
@@ -93,8 +98,14 @@ class StackReplica {
   /// All component processes (fault-injection / placement).
   [[nodiscard]] virtual std::vector<sim::Process*> processes() = 0;
   [[nodiscard]] virtual sim::Process* component(Component c) = 0;
-  [[nodiscard]] virtual const char* kind() const = 0;
   [[nodiscard]] virtual IpLayer& ip_layer_ref() = 0;
+
+  /// Whether a crash of component `c` takes the TCP state with it: the
+  /// crashed process is the one hosting TCP (always, for a
+  /// single-component replica).
+  [[nodiscard]] bool loses_tcp_state(Component c) {
+    return component(c) == &tcp_process();
+  }
 
   [[nodiscard]] int queue() const { return queue_; }
   [[nodiscard]] int id() const { return id_; }
@@ -140,16 +151,8 @@ class StackReplica {
   std::uint64_t aslr_layout_{0};
 };
 
-/// One staged egress packet. Outgoing segments are staged as they are
-/// produced and emitted together when the burst's FIRST tx job completes:
-/// by then the enclosing job (an rx_batch, a timer tick) has staged the
-/// whole burst, so all packets leave at ONE virtual instant — the
-/// downstream channel and NIC flush windows see whole bursts instead of
-/// ~2-message slivers. Only the first packet of a burst posts a flush job;
-/// the rest just accumulate their construction cost, which the flush
-/// charges in a single follow-up accounting job. A burst of N packets thus
-/// costs 2 jobs instead of N (1 for N == 1), with the process's busy time
-/// unchanged. For UDP entries the header is encoded at flush time.
+/// One staged egress packet (see TxBurst). For UDP entries the header is
+/// encoded at flush time.
 struct StagedTx {
   net::PacketPtr pkt;
   net::Ipv4Addr src;
@@ -157,6 +160,56 @@ struct StagedTx {
   net::IpProto proto{net::IpProto::kTcp};
   std::uint16_t src_port{0};  ///< UDP only
   std::uint16_t dst_port{0};  ///< UDP only
+};
+
+/// The egress-burst stager of one transport-bearing process. Outgoing
+/// packets are staged as they are produced and emitted together when the
+/// burst's FIRST tx job completes: by then the enclosing job (an rx_batch,
+/// a timer tick) has staged the whole burst, so all packets leave at ONE
+/// virtual instant — the downstream channel and NIC flush windows see
+/// whole bursts instead of ~2-message slivers. Only the first packet of a
+/// burst posts a flush job; the rest just accumulate their construction
+/// cost, which the flush charges in a single follow-up accounting job. A
+/// burst of N packets thus costs 2 jobs instead of N (1 for N == 1), with
+/// the process's busy time unchanged. The owner supplies the emit step,
+/// called once per flush with the whole burst.
+class TxBurst {
+ public:
+  using Emit = std::function<void(std::span<StagedTx>)>;
+
+  TxBurst(sim::Process& proc, Emit emit)
+      : proc_(proc), emit_(std::move(emit)) {}
+  TxBurst(const TxBurst&) = delete;
+  TxBurst& operator=(const TxBurst&) = delete;
+
+  /// Stage `tx`, charging `cost` cycles to the process. Dropped if the
+  /// process is dead.
+  void stage(sim::Cycles cost, StagedTx tx) {
+    if (proc_.crashed()) return;
+    stage_.push_back(std::move(tx));
+    if (armed_) {
+      rest_cost_ += cost;
+    } else {
+      armed_ = true;
+      proc_.post(cost, [this] { flush(); });
+    }
+  }
+
+  /// Forget the staged burst; its queued flush job died with the process.
+  void clear() {
+    stage_.clear();
+    rest_cost_ = 0;
+    armed_ = false;
+  }
+
+ private:
+  void flush();
+
+  sim::Process& proc_;
+  Emit emit_;
+  std::vector<StagedTx> stage_;
+  sim::Cycles rest_cost_{0};  ///< cost of staged packets after the first
+  bool armed_{false};         ///< a flush job is already queued
 };
 
 // ---------------------------------------------------------------------------
@@ -182,7 +235,6 @@ class SingleComponentReplica final : public sim::Process,
   net::UdpMux& udp() override { return udp_; }
   std::vector<sim::Process*> processes() override { return {this}; }
   sim::Process* component(Component) override { return this; }
-  const char* kind() const override { return "single"; }
   IpLayer& ip_layer_ref() override { return ip_; }
   void udp_tx(net::PacketPtr payload, std::uint16_t src_port,
               net::SockAddr to) override;
@@ -202,34 +254,25 @@ class SingleComponentReplica final : public sim::Process,
   }
   void on_flow_established(const net::FlowKey& key) override;
 
-  [[nodiscard]] IpLayer& ip_layer() { return ip_; }
-
  protected:
   void on_crash() override;
 
  private:
-  void handle_frame(net::PacketPtr frame);
   void handle_frame_batch(std::vector<net::PacketPtr>&& frames);
   void handle_ip(const net::Ipv4Header& hdr, net::PacketPtr payload);
-  [[nodiscard]] bool pf_pass(const net::Ipv4Header& hdr,
-                             const net::Packet& payload) const;
-  /// Emit every staged egress packet (runs when the burst's first tx job
-  /// completes; charges the rest of the burst's accumulated cost).
-  void flush_tx();
+  /// Emit one flushed burst: loopback into handle_ip, the rest to the wire.
+  void emit(std::span<StagedTx> burst);
 
-  std::vector<StagedTx> tx_stage_;
-  sim::Cycles tx_stage_cost_{0};  ///< cost of staged packets after the first
-  bool tx_flush_armed_{false};    ///< a flush_tx job is already queued
   StackCosts costs_;
   sim::Rng rng_;
   obs::Hub* hub_;  // per-host hub override; nullptr = simulator-global
   drv::NicDriver* driver_;  // deferred-filter installs go through here
-  drv::NicDriver::TxPort tx_port_;     // → driver (or NIC, when offloaded)
+  IpLayer ip_;  // transmits into the driver (or the NIC, when offloaded)
   ipc::Channel<net::PacketPtr> rx_ch_;  // driver → this
-  IpLayer ip_;
   net::TcpStack tcp_stack_;
   net::UdpMux udp_;
   net::PacketFilter pf_;
+  TxBurst egress_{*this, [this](std::span<StagedTx> b) { emit(b); }};
 };
 
 // ---------------------------------------------------------------------------
@@ -263,17 +306,14 @@ class TcpComponent final : public sim::Process, public net::TcpEnv {
   void on_crash() override;
 
  private:
-  /// Emit every staged segment (runs when the burst's first tx job
-  /// completes; charges the rest of the burst's accumulated cost).
-  void flush_tx();
+  /// Emit one flushed burst: loopback into this stack, the rest to IP.
+  void emit(std::span<StagedTx> burst);
 
   MultiComponentReplica& owner_;
   StackCosts costs_;
   sim::Rng rng_;
   net::TcpStack tcp_stack_;
-  std::vector<StagedTx> tx_stage_;
-  sim::Cycles tx_stage_cost_{0};  ///< cost of staged packets after the first
-  bool tx_flush_armed_{false};    ///< a flush_tx job is already queued
+  TxBurst egress_{*this, [this](std::span<StagedTx> b) { emit(b); }};
 };
 
 /// The IP process: eth/ARP/IP handling between the driver and transports.
@@ -286,12 +326,6 @@ class IpComponent final : public sim::Process {
   [[nodiscard]] IpLayer& layer() { return ip_; }
   [[nodiscard]] ipc::Channel<net::PacketPtr>& rx_channel() { return rx_ch_; }
 
-  /// Transport-originated transmit (runs in IP context via tx channel).
-  void ip_send(net::PacketPtr payload, net::IpProto proto, net::Ipv4Addr src,
-               net::Ipv4Addr dst) {
-    ip_.send(std::move(payload), proto, src, dst);
-  }
-
  protected:
   void on_crash() override;
   void on_restart() override;
@@ -301,26 +335,30 @@ class IpComponent final : public sim::Process {
 
   MultiComponentReplica& owner_;
   StackCosts costs_;
-  std::unique_ptr<ipc::Channel<net::PacketPtr>> tx_ch_;  // → driver
-  ipc::Channel<net::PacketPtr> rx_ch_;                   // driver → this
+  ipc::Channel<net::PacketPtr> rx_ch_;  // driver → this
   IpLayer ip_;
 };
 
 /// The UDP process (stateless; trivially recoverable).
 class UdpComponent final : public sim::Process {
  public:
-  UdpComponent(sim::Simulator& sim, MultiComponentReplica& owner,
-               std::string name);
+  /// `emit` sends one flushed burst of datagrams towards IP.
+  UdpComponent(sim::Simulator& sim, std::string name, TxBurst::Emit emit)
+      : sim::Process(sim, std::move(name)), egress_(*this, std::move(emit)) {}
   [[nodiscard]] net::UdpMux& mux() { return mux_; }
+  [[nodiscard]] TxBurst& egress() { return egress_; }
 
  protected:
   /// Port bindings are soft state: they die with the process. The host
   /// replays the durable bind registry after recovery.
-  void on_crash() override { mux_.clear(); }
+  void on_crash() override {
+    mux_.clear();
+    egress_.clear();
+  }
 
  private:
-  MultiComponentReplica& owner_;
   net::UdpMux mux_;
+  TxBurst egress_;
 };
 
 /// The packet-filter process (stateless rules, reloaded on restart).
@@ -356,7 +394,6 @@ class MultiComponentReplica final : public StackReplica {
   net::UdpMux& udp() override { return udp_proc_->mux(); }
   std::vector<sim::Process*> processes() override;
   sim::Process* component(Component c) override;
-  const char* kind() const override { return "multi"; }
   IpLayer& ip_layer_ref() override { return ip_proc_->layer(); }
   void udp_tx(net::PacketPtr payload, std::uint16_t src_port,
               net::SockAddr to) override;
@@ -368,7 +405,6 @@ class MultiComponentReplica final : public StackReplica {
  private:
   friend class TcpComponent;
   friend class IpComponent;
-  friend class UdpComponent;
 
   // Inter-component messages. IP→TCP reuses the stack's burst arrival
   // record so a whole channel batch moves into TcpStack::rx_batch without
@@ -381,17 +417,9 @@ class MultiComponentReplica final : public StackReplica {
     net::IpProto proto{net::IpProto::kTcp};
   };
 
-  /// Emit every staged datagram (runs when the burst's first udp_tx job
-  /// completes; charges the rest of the burst's accumulated cost).
-  void flush_udp_tx();
-
-  sim::Cycles udp_stage_cost_{0};  ///< cost of staged datagrams after the 1st
-  bool udp_flush_armed_{false};    ///< a flush_udp_tx job is already queued
   StackCosts costs_;
   obs::Hub* hub_;  // per-host hub override; nullptr = simulator-global
   drv::NicDriver* driver_;  // deferred-filter installs go through here
-  drv::NicDriver::TxPort drv_tx_;
-  std::vector<StagedTx> udp_stage_;
   std::unique_ptr<TcpComponent> tcp_proc_;
   std::unique_ptr<IpComponent> ip_proc_;
   std::unique_ptr<UdpComponent> udp_proc_;

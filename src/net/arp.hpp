@@ -49,6 +49,12 @@ class ArpResolver {
   void insert(Ipv4Addr ip, MacAddr mac);
 
   [[nodiscard]] std::optional<MacAddr> lookup(Ipv4Addr ip) const;
+  /// Forget every mapping and drop every pending resolution (crash
+  /// recovery); the transmit hook stays.
+  void clear() {
+    cache_.clear();
+    waiting_.clear();
+  }
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
 
  private:

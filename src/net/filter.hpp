@@ -13,6 +13,7 @@
 
 #include "net/addr.hpp"
 #include "net/ipv4.hpp"
+#include "net/packet.hpp"
 
 namespace neat::net {
 
@@ -53,6 +54,23 @@ class PacketFilter {
     }
     ++default_hits_;
     return true;  // default accept
+  }
+
+  /// Evaluate a decoded IPv4 datagram (`payload` starts at the transport
+  /// header). Free when no rules are installed: nothing is evaluated and
+  /// default_hits() does not move.
+  [[nodiscard]] bool accept_packet(const Ipv4Header& hdr,
+                                   const Packet& payload) const {
+    if (rules_.empty()) return true;
+    std::uint16_t sport = 0;
+    std::uint16_t dport = 0;
+    const auto b = payload.bytes();
+    if ((hdr.proto == IpProto::kTcp || hdr.proto == IpProto::kUdp) &&
+        b.size() >= 4) {
+      sport = static_cast<std::uint16_t>(b[0] << 8 | b[1]);
+      dport = static_cast<std::uint16_t>(b[2] << 8 | b[3]);
+    }
+    return accept(hdr.proto, hdr.src, hdr.dst, sport, dport);
   }
 
   [[nodiscard]] std::uint64_t default_hits() const { return default_hits_; }

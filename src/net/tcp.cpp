@@ -1185,25 +1185,45 @@ void TcpStack::for_each_connection(
   for (auto& s : snapshot) fn(*s);
 }
 
+TcpConnSnapshot TcpStack::capture(const TcpSocket& sock) {
+  TcpConnSnapshot s;
+  s.flow = sock.flow_;
+  s.iss = sock.iss_;
+  s.irs = sock.irs_;
+  s.snd_una = sock.snd_una_;
+  s.rcv_nxt = sock.rcv_nxt_;
+  s.snd_wnd = sock.snd_wnd_;
+  s.peer_mss = sock.peer_mss_;
+  s.send_buf.resize(sock.send_ring_.readable());
+  sock.send_ring_.peek(s.send_buf);
+  s.recv_buf.resize(sock.recv_ring_.readable());
+  sock.recv_ring_.peek(s.recv_buf);
+  s.snd_nxt = sock.snd_nxt_;
+  return s;
+}
+
+TcpSocketPtr TcpStack::revive(const TcpConnSnapshot& s) {
+  auto sock = std::make_shared<TcpSocket>(*this, s.flow, cfg_);
+  sock->state_ = TcpState::kEstablished;
+  sock->state_entered_ = env_.now();
+  sock->iss_ = s.iss;
+  sock->irs_ = s.irs;
+  sock->snd_una_ = s.snd_una;
+  sock->rcv_nxt_ = s.rcv_nxt;
+  sock->snd_wnd_ = s.snd_wnd;
+  sock->peer_mss_ = s.peer_mss;
+  sock->send_ring_.write(s.send_buf);
+  sock->recv_ring_.write(s.recv_buf);
+  return sock;
+}
+
 TcpCheckpoint TcpStack::snapshot() const {
   TcpCheckpoint cp;
   cp.taken_at = env_.now();
-  conns_.for_each([&cp](const FlowKey& key, const TcpSocketPtr& sock) {
-    if (sock->state_ != TcpState::kEstablished) return;
-    TcpConnSnapshot s;
-    s.flow = key;
-    s.iss = sock->iss_;
-    s.irs = sock->irs_;
-    s.snd_una = sock->snd_una_;
-    s.rcv_nxt = sock->rcv_nxt_;
-    s.snd_wnd = sock->snd_wnd_;
-    s.peer_mss = sock->peer_mss_;
-    s.send_buf.resize(sock->send_ring_.readable());
-    sock->send_ring_.peek(s.send_buf);
-    s.recv_buf.resize(sock->recv_ring_.readable());
-    sock->recv_ring_.peek(s.recv_buf);
-    s.snd_nxt = sock->snd_nxt_;
-    cp.conns.push_back(std::move(s));
+  conns_.for_each([&cp](const FlowKey&, const TcpSocketPtr& sock) {
+    if (sock->state_ == TcpState::kEstablished) {
+      cp.conns.push_back(capture(*sock));
+    }
   });
   return cp;
 }
@@ -1216,19 +1236,7 @@ TcpCheckpoint TcpStack::extract_for_migration() {
     if (sock->state_ == TcpState::kEstablished) moving.push_back(sock);
   });
   for (const auto& sock : moving) {
-    TcpConnSnapshot s;
-    s.flow = sock->flow_;
-    s.iss = sock->iss_;
-    s.irs = sock->irs_;
-    s.snd_una = sock->snd_una_;
-    s.rcv_nxt = sock->rcv_nxt_;
-    s.snd_wnd = sock->snd_wnd_;
-    s.peer_mss = sock->peer_mss_;
-    s.send_buf.resize(sock->send_ring_.readable());
-    sock->send_ring_.peek(s.send_buf);
-    s.recv_buf.resize(sock->recv_ring_.readable());
-    sock->recv_ring_.peek(s.recv_buf);
-    s.snd_nxt = sock->snd_nxt_;
+    TcpConnSnapshot s = capture(*sock);
     for (const auto& seg : sock->ooo_) s.ooo.push_back({seg.seq, seg.bytes});
     s.fin_seen = sock->fin_seen_;
     s.fin_rcv_seq = sock->fin_rcv_seq_;
@@ -1267,22 +1275,12 @@ std::vector<TcpSocketPtr> TcpStack::adopt(const TcpCheckpoint& cp) {
   for (const auto& s : cp.conns) {
     migrated_out_.erase(s.flow);  // the flow may be migrating back here
     if (conns_.contains(s.flow)) continue;
-    auto sock = std::make_shared<TcpSocket>(*this, s.flow, cfg_);
-    sock->state_ = TcpState::kEstablished;
-    sock->state_entered_ = env_.now();
-    sock->iss_ = s.iss;
-    sock->irs_ = s.irs;
-    sock->snd_una_ = s.snd_una;
+    auto sock = revive(s);
     // Unlike checkpoint restore, migration is byte-exact: nothing was lost
     // between extract and adopt (the NIC capture buffer replays the gap),
     // so output resumes from snd_nxt. Congestion state restarts from the
     // initial window — a deliberate slow-start restart after the move.
     sock->snd_nxt_ = s.snd_nxt;
-    sock->rcv_nxt_ = s.rcv_nxt;
-    sock->snd_wnd_ = s.snd_wnd;
-    sock->peer_mss_ = s.peer_mss;
-    sock->send_ring_.write(s.send_buf);
-    sock->recv_ring_.write(s.recv_buf);
     for (const auto& seg : s.ooo) {
       sock->ooo_.push_back({seg.seq, seg.bytes});
       sock->ooo_bytes_ += seg.bytes.size();
@@ -1313,20 +1311,10 @@ std::vector<TcpSocketPtr> TcpStack::restore(const TcpCheckpoint& cp) {
   std::vector<TcpSocketPtr> restored;
   for (const auto& s : cp.conns) {
     if (conns_.contains(s.flow)) continue;
-    auto sock = std::make_shared<TcpSocket>(*this, s.flow, cfg_);
-    sock->state_ = TcpState::kEstablished;
-    sock->state_entered_ = env_.now();
-    sock->iss_ = s.iss;
-    sock->irs_ = s.irs;
-    sock->snd_una_ = s.snd_una;
+    auto sock = revive(s);
     // Everything unacked at checkpoint time counts as lost in flight:
     // resume output from snd_una so try_output() retransmits it all.
     sock->snd_nxt_ = s.snd_una;
-    sock->rcv_nxt_ = s.rcv_nxt;
-    sock->snd_wnd_ = s.snd_wnd;
-    sock->peer_mss_ = s.peer_mss;
-    sock->send_ring_.write(s.send_buf);
-    sock->recv_ring_.write(s.recv_buf);
     insert_conn(s.flow, sock);
     restored.push_back(sock);
     sock->try_output();

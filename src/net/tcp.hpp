@@ -588,6 +588,12 @@ class TcpStack {
     if (pending_handshakes_ > 0) --pending_handshakes_;
   }
   std::uint16_t ephemeral_port();
+  /// The connection image a checkpoint and a migration share: identity,
+  /// sequence state, window, MSS, both rings and snd_nxt.
+  [[nodiscard]] static TcpConnSnapshot capture(const TcpSocket& sock);
+  /// A fresh ESTABLISHED socket holding `s`'s shared image, except snd_nxt
+  /// (the caller picks where output resumes). Not yet in conns_.
+  [[nodiscard]] TcpSocketPtr revive(const TcpConnSnapshot& s);
   /// All conns_ insert/erase goes through these so port_use_ stays exact.
   void insert_conn(const FlowKey& key, TcpSocketPtr sock) {
     // A new incarnation of the 4-tuple supersedes any migrated-away

@@ -1,7 +1,10 @@
 // Replica data-path tests beyond TCP: ARP resolution over the wire, ICMP
 // echo, UDP delivery (single- and multi-component), IP fragmentation
-// through the full path, and the packet filter in the inbound path.
+// through the full path, the packet filter in the inbound path, and the
+// egress-burst stager (TxBurst) behind StackReplica::udp_tx.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "harness/testbed.hpp"
 
@@ -59,6 +62,31 @@ struct ReplicaFixture : public ::testing::Test {
       rep.ip_layer_ref().send(std::move(pkt), net::IpProto::kUdp, kClientIp,
                               kServerIp);
     });
+  }
+
+  /// From the server replica's UDP-bearing process, send one datagram of
+  /// each size to the client's port 7000 (all staged in one job).
+  void server_udp_burst(std::vector<std::size_t> sizes) {
+    auto& rep = server->replica(0);
+    rep.component(Component::kUdp)->post(1000, [&rep, sizes] {
+      for (std::size_t n : sizes) {
+        rep.udp_tx(net::Packet::make(n), 5000, {kClientIp, 7000});
+      }
+    });
+  }
+
+  /// Stage a burst of two datagrams on the server replica, then crash its
+  /// UDP-bearing process before the burst's flush job runs.
+  void crash_mid_burst() {
+    auto& rep = server->replica(0);
+    rep.component(Component::kUdp)->post(1000, [this, &rep] {
+      rep.udp_tx(net::Packet::make(10), 5000, {kClientIp, 7000});
+      rep.udp_tx(net::Packet::make(20), 5000, {kClientIp, 7000});
+      tb->sim.schedule(0, [this, &rep] {
+        server->inject_crash(rep, Component::kUdp);
+      });
+    });
+    run(1 * sim::kMillisecond);
   }
 
   void prepopulate() {
@@ -129,43 +157,112 @@ TEST_F(ReplicaFixture, OversizeUdpFragmentsAndReassembles) {
 }
 
 TEST_F(ReplicaFixture, IcmpEchoIsAnswered) {
-  build(false);
-  prepopulate();
-  // Raw ICMP echo from the client replica.
-  auto& rep = client->replica(0);
-  rep.tcp_process().post(2000, [&rep] {
-    auto pkt = net::Packet::make(32);
-    net::IcmpMessage m;
-    m.type = net::IcmpMessage::Type::kEchoRequest;
-    m.ident = 1;
-    m.seq = 1;
-    m.encode(*pkt);
-    rep.ip_layer_ref().send(std::move(pkt), net::IpProto::kIcmp, kClientIp,
-                            kServerIp);
-  });
-  run();
-  // The reply comes back to the client NIC (an extra RX frame beyond ARP).
-  EXPECT_GE(tb->client_nic.stats().rx_frames, 1u);
-  EXPECT_GE(tb->server_nic.stats().tx_frames, 1u);
+  for (bool multi : {false, true}) {
+    SCOPED_TRACE(multi ? "multi" : "single");
+    build(multi);
+    prepopulate();
+    // Raw ICMP echo from the client replica.
+    auto& rep = client->replica(0);
+    rep.tcp_process().post(2000, [&rep] {
+      auto pkt = net::Packet::make(32);
+      net::IcmpMessage m;
+      m.type = net::IcmpMessage::Type::kEchoRequest;
+      m.ident = 1;
+      m.seq = 1;
+      m.encode(*pkt);
+      rep.ip_layer_ref().send(std::move(pkt), net::IpProto::kIcmp, kClientIp,
+                              kServerIp);
+    });
+    run();
+    // The reply comes back to the client NIC (an extra RX frame beyond ARP).
+    EXPECT_GE(tb->client_nic.stats().rx_frames, 1u);
+    EXPECT_GE(tb->server_nic.stats().tx_frames, 1u);
+  }
 }
 
 TEST_F(ReplicaFixture, PacketFilterDropsMatchingUdp) {
-  build(false);
-  prepopulate();
-  net::FilterRule drop;
-  drop.action = net::FilterRule::Action::kDrop;
-  drop.proto = net::IpProto::kUdp;
-  drop.dst_port = 53;
-  server->replica(0).filter().add_rule(drop);
+  for (bool multi : {false, true}) {
+    SCOPED_TRACE(multi ? "multi" : "single");
+    build(multi);
+    prepopulate();
+    net::FilterRule drop;
+    drop.action = net::FilterRule::Action::kDrop;
+    drop.proto = net::IpProto::kUdp;
+    drop.dst_port = 53;
+    server->replica(0).filter().add_rule(drop);
 
-  int got = 0;
-  server->replica(0).udp().bind(53, [&](net::UdpMux::Datagram) { ++got; });
-  server->replica(0).udp().bind(54, [&](net::UdpMux::Datagram) { ++got; });
-  send_udp(9999, 53, 32);  // dropped
-  send_udp(9999, 54, 32);  // passes (different port)
-  run();
-  EXPECT_EQ(got, 1);
-  EXPECT_EQ(server->replica(0).filter().rules()[0].hits, 1u);
+    int got = 0;
+    server->replica(0).udp().bind(53, [&](net::UdpMux::Datagram) { ++got; });
+    server->replica(0).udp().bind(54, [&](net::UdpMux::Datagram) { ++got; });
+    send_udp(9999, 53, 32);  // dropped
+    send_udp(9999, 54, 32);  // passes (different port)
+    run();
+    EXPECT_EQ(got, 1);
+    EXPECT_EQ(server->replica(0).filter().rules()[0].hits, 1u);
+  }
+}
+
+TEST_F(ReplicaFixture, UdpBurstLeavesInOrderForTwoJobs) {
+  for (bool multi : {false, true}) {
+    SCOPED_TRACE(multi ? "multi" : "single");
+    build(multi);
+    prepopulate();
+    run(1 * sim::kMillisecond);
+    const sim::Process& udp = *server->replica(0).component(Component::kUdp);
+    const std::uint64_t jobs_before = udp.stats().jobs;
+    std::vector<std::size_t> got;
+    std::uint64_t jobs_at_last = 0;
+    client->replica(0).udp().bind(7000, [&](net::UdpMux::Datagram d) {
+      got.push_back(d.payload->size());
+      jobs_at_last = udp.stats().jobs;
+    });
+    server_udp_burst({10, 20, 30});
+    run();
+    EXPECT_EQ(got, (std::vector<std::size_t>{10, 20, 30}));
+    // The staging job, then one flush job emitting all three and one
+    // accounting job charging datagrams 2 and 3 — not one job each.
+    EXPECT_EQ(jobs_at_last - jobs_before, 1u + 2u);
+  }
+}
+
+TEST_F(ReplicaFixture, UdpBurstDiesWithItsProcess) {
+  for (bool multi : {false, true}) {
+    SCOPED_TRACE(multi ? "multi" : "single");
+    build(multi);
+    prepopulate();
+    run(1 * sim::kMillisecond);
+    std::vector<std::size_t> got;
+    client->replica(0).udp().bind(7000, [&](net::UdpMux::Datagram d) {
+      got.push_back(d.payload->size());
+    });
+    const std::uint64_t tx_before = tb->server_nic.stats().tx_frames;
+    crash_mid_burst();
+    EXPECT_TRUE(server->replica(0).component(Component::kUdp)->crashed());
+    EXPECT_TRUE(got.empty());
+    EXPECT_EQ(tb->server_nic.stats().tx_frames, tx_before);
+  }
+}
+
+TEST_F(ReplicaFixture, UdpBurstRearmsAfterRecovery) {
+  for (bool multi : {false, true}) {
+    SCOPED_TRACE(multi ? "multi" : "single");
+    build(multi);
+    prepopulate();
+    run(1 * sim::kMillisecond);
+    std::vector<std::size_t> got;
+    client->replica(0).udp().bind(7000, [&](net::UdpMux::Datagram d) {
+      got.push_back(d.payload->size());
+    });
+    crash_mid_burst();
+    auto& rep = server->replica(0);
+    server->recover_replica(rep, Component::kUdp);
+    ASSERT_FALSE(rep.component(Component::kUdp)->crashed());
+    // The dead burst's flush job never ran; a stale armed flag would stage
+    // this datagram behind a flush that never comes.
+    server_udp_burst({30});
+    run();
+    EXPECT_EQ(got, (std::vector<std::size_t>{30}));
+  }
 }
 
 }  // namespace
