@@ -62,12 +62,13 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 if [[ "$SKIP_SANITIZE" == 1 ]]; then
   echo "== sanitizer pass skipped =="
 else
-  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_fastpath / test_flow_table / test_net_codec / test_tcp / test_http / test_apps_harness / test_workload / test_udp_e2e / test_defense / test_fleet / test_replica / test_recovery / ext_perf / ext_workloads / ext_defense / ext_fleet =="
+  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_fastpath / test_flow_table / test_net_codec / test_tcp / test_http / test_apps_harness / test_workload / test_udp_e2e / test_defense / test_fleet / test_replica / test_recovery / test_sim / test_nic / test_socklib / test_alloc_free / ext_perf / ext_workloads / ext_defense / ext_fleet =="
   cmake -B build-asan -S . -DNEAT_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "$JOBS" \
     --target test_ipc test_obs test_chaos test_fastpath test_flow_table \
              test_net_codec test_tcp test_http test_apps_harness test_workload \
              test_udp_e2e test_defense test_fleet test_replica test_recovery \
+             test_sim test_nic test_socklib test_alloc_free \
              ext_perf ext_workloads ext_defense ext_fleet
   ./build-asan/tests/test_ipc
   ./build-asan/tests/test_obs
@@ -99,6 +100,15 @@ else
   # the stager cleanly.
   ./build-asan/tests/test_replica
   ./build-asan/tests/test_recovery
+  # Wake-path slots (a crash leaves stale jobs parked until their events
+  # fire), the NIC's spliced filter LRU, and socket teardown returning
+  # ring stores to the rig's pool. The allocation suite also checks that a
+  # ring outliving its pool frees its store: a leak or double free shows
+  # here.
+  ./build-asan/tests/test_sim
+  ./build-asan/tests/test_nic
+  ./build-asan/tests/test_socklib
+  ./build-asan/tests/test_alloc_free
   # One short end-to-end pass over the pooled data path under ASan: buffer
   # recycling must be invisible to the sanitizer.
   (cd build-asan/bench && ./ext_perf --quick)

@@ -32,40 +32,46 @@ bool contains_token(std::string_view head, std::string_view token) {
 }
 }  // namespace
 
-std::vector<HttpRequest> HttpRequestParser::feed(
-    std::span<const std::uint8_t> data) {
-  std::vector<HttpRequest> out;
-  if (error_) return out;
+std::size_t HttpRequestParser::feed(std::span<const std::uint8_t> data,
+                                    std::vector<HttpRequest>& out) {
+  if (error_) return 0;
   buf_.append(reinterpret_cast<const char*>(data.data()), data.size());
 
+  std::size_t done = 0;
+  std::size_t pos = 0;  // start of the first unparsed request in buf_
   while (true) {
-    const auto end = buf_.find("\r\n\r\n");
-    if (end == std::string::npos) {
-      if (buf_.size() > kMaxHeadBytes) error_ = true;
-      return out;
-    }
-    const std::string head = buf_.substr(0, end);
-    buf_.erase(0, end + 4);
+    const auto end = buf_.find("\r\n\r\n", pos);
+    if (end == std::string::npos) break;
+    const std::string_view head(buf_.data() + pos, end - pos);
+    pos = end + 4;
 
-    HttpRequest req;
-    const auto line_end = head.find("\r\n");
-    const std::string line =
-        line_end == std::string::npos ? head : head.substr(0, line_end);
+    const std::string_view line = head.substr(0, head.find("\r\n"));
     const auto sp1 = line.find(' ');
     const auto sp2 = line.find(' ', sp1 + 1);
-    if (sp1 == std::string::npos || sp2 == std::string::npos) {
+    if (sp1 == std::string_view::npos || sp2 == std::string_view::npos) {
       error_ = true;
-      return out;
+      break;
     }
-    req.method = line.substr(0, sp1);
-    req.path = line.substr(sp1 + 1, sp2 - sp1 - 1);
-    const std::string version = line.substr(sp2 + 1);
+    HttpRequest& req = out.emplace_back();
+    req.method.assign(line.substr(0, sp1));
+    req.path.assign(line.substr(sp1 + 1, sp2 - sp1 - 1));
+    const std::string_view version = line.substr(sp2 + 1);
     // HTTP/1.1 defaults to keep-alive; "Connection: close" overrides.
     req.keep_alive = version == "HTTP/1.1"
                          ? !contains_token(head, "connection: close")
                          : contains_token(head, "connection: keep-alive");
-    out.push_back(std::move(req));
+    ++done;
   }
+  buf_.erase(0, pos);
+  if (!error_ && buf_.size() > kMaxHeadBytes) error_ = true;
+  return done;
+}
+
+std::vector<HttpRequest> HttpRequestParser::feed(
+    std::span<const std::uint8_t> data) {
+  std::vector<HttpRequest> out;
+  feed(data, out);
+  return out;
 }
 
 std::vector<std::uint8_t> build_request(const std::string& path,
@@ -76,16 +82,31 @@ std::vector<std::uint8_t> build_request(const std::string& path,
   return {s.begin(), s.end()};
 }
 
+void build_response_head(std::vector<std::uint8_t>& out, int status,
+                         std::size_t content_length, bool keep_alive) {
+  char head[128];  // the longest head is under 100 bytes
+  char* p = head;
+  const auto put = [&p](std::string_view s) {
+    p = std::copy(s.begin(), s.end(), p);
+  };
+  char* const end = head + sizeof head;
+  put("HTTP/1.1 ");
+  p = std::to_chars(p, end, status).ptr;
+  put(status == 200 ? " OK" : " Error");
+  put("\r\nContent-Length: ");
+  p = std::to_chars(p, end, content_length).ptr;
+  put("\r\n");
+  if (!keep_alive) put("Connection: close\r\n");
+  put("\r\n");
+  out.assign(head, p);
+}
+
 std::vector<std::uint8_t> build_response_head(int status,
                                               std::size_t content_length,
                                               bool keep_alive) {
-  std::string head = "HTTP/1.1 " + std::to_string(status) +
-                     (status == 200 ? " OK" : " Error") +
-                     "\r\nContent-Length: " + std::to_string(content_length) +
-                     "\r\n";
-  if (!keep_alive) head += "Connection: close\r\n";
-  head += "\r\n";
-  return {head.begin(), head.end()};
+  std::vector<std::uint8_t> out;
+  build_response_head(out, status, content_length, keep_alive);
+  return out;
 }
 
 std::vector<std::uint8_t> build_response(int status,

@@ -25,8 +25,12 @@ struct HttpRequest {
 /// requests. GET/HEAD only (no request bodies), like the benchmark.
 class HttpRequestParser {
  public:
-  /// Returns requests completed by this chunk. Sets error() on malformed
-  /// input.
+  /// Appends the requests completed by this chunk to `out` and returns
+  /// how many. Parses in place: with a reused `out` and short paths, a
+  /// request costs no allocation. Sets error() on malformed input.
+  std::size_t feed(std::span<const std::uint8_t> data,
+                   std::vector<HttpRequest>& out);
+  /// Returns requests completed by this chunk.
   std::vector<HttpRequest> feed(std::span<const std::uint8_t> data);
 
   [[nodiscard]] bool error() const { return error_; }
@@ -47,7 +51,12 @@ class HttpRequestParser {
 [[nodiscard]] std::vector<std::uint8_t> build_request(const std::string& path,
                                                       bool keep_alive = true);
 
-/// Serialize a response head (status line, Content-Length, blank line).
+/// Serialize a response head (status line, Content-Length, blank line)
+/// into `out`, replacing its content and reusing its capacity.
+void build_response_head(std::vector<std::uint8_t>& out, int status,
+                         std::size_t content_length, bool keep_alive = true);
+
+/// Serialize a response head into a new buffer.
 [[nodiscard]] std::vector<std::uint8_t> build_response_head(
     int status, std::size_t content_length, bool keep_alive = true);
 

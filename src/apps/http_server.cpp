@@ -68,12 +68,9 @@ void HttpServer::on_readable(Fd fd) {
       const std::size_t n = api_->recv(fd, buf);
       if (n == 0) break;
       got += n;
-      auto reqs = c.parser.feed({buf, n});
-      completed += reqs.size();
-      for (auto& r : reqs) {
-        c.queue.push_back(std::move(r));
-        c.queue_at.push_back(sim().now());
-      }
+      const std::size_t parsed = c.parser.feed({buf, n}, c.queue);
+      completed += parsed;
+      c.queue_at.insert(c.queue_at.end(), parsed, sim().now());
     }
     if (got > 0) {
       c.got_bytes = true;
@@ -107,22 +104,24 @@ void HttpServer::serve_next(Fd fd) {
   if (c.respond_pending || c.queue.empty() || !c.head.empty()) return;
   c.respond_pending = true;
 
-  const HttpRequest req = c.queue.front();
+  // The respond job needs only these from the request, so it captures no
+  // strings and stays within SmallFn's inline buffer.
+  const bool keep_alive = c.queue.front().keep_alive;
+  const std::vector<std::uint8_t>* body = files_.lookup(c.queue.front().path);
   c.queue.erase(c.queue.begin());
   const sim::SimTime arrived_at = c.queue_at.front();
   c.queue_at.erase(c.queue_at.begin());
-  const std::vector<std::uint8_t>* body = files_.lookup(req.path);
   const std::size_t body_size = body ? body->size() : 0;
 
   post(costs_.respond + costs_.per_16_bytes * (body_size / 16),
-       [this, fd, req, body, arrived_at] {
+       [this, fd, keep_alive, body, arrived_at] {
          auto cit = conns_.find(fd);
          if (cit == conns_.end()) return;
          Conn& c = cit->second;
          c.respond_pending = false;
 
          if (body != nullptr) {
-           c.head = build_response_head(200, body->size(), req.keep_alive);
+           build_response_head(c.head, 200, body->size(), keep_alive);
            c.body = *body;
            ++stats_.requests;
            const sim::SimTime lat = sim().now() - arrived_at;
@@ -133,12 +132,12 @@ void HttpServer::serve_next(Fd fd) {
            sim().tracer().emit(
                {arrived_at, lat ? lat : 1, "http", "request_served", 0, fd, ""});
          } else {
-           c.head = build_error_response(404);
+           build_response_head(c.head, 404, 0);  // as build_error_response(404)
            ++stats_.not_found;
          }
          c.out_off = 0;
          ++c.served;
-         if (!req.keep_alive || c.served >= max_requests_per_conn) {
+         if (!keep_alive || c.served >= max_requests_per_conn) {
            c.closing = true;
          }
          continue_write(fd);

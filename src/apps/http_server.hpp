@@ -77,6 +77,7 @@ class HttpServer : public sim::Process {
     /// Pending response: `head`, then `body` sent in place from the
     /// FileStore, never copied per response. Valid because the FileStore
     /// is filled when the rig is built and never mutated while serving.
+    /// `head` is formatted in place, reusing its capacity per response.
     std::vector<std::uint8_t> head;
     std::span<const std::uint8_t> body;
     std::size_t out_off{0};  // bytes of head + body already sent

@@ -20,6 +20,7 @@ void LoadGen::attach_api(std::unique_ptr<socklib::SocketApi> api) {
 void LoadGen::start() {
   assert(api_ && "attach_api() before start()");
   started_ = true;
+  request_ = build_request(config_.path);  // the same bytes every request
   for (std::size_t i = 0; i < config_.concurrency; ++i) open_connection();
 }
 
@@ -85,10 +86,9 @@ void LoadGen::do_send(Fd fd) {
   auto cit = conns_.find(fd);
   if (cit == conns_.end()) return;
   Conn& c = cit->second;
-  const auto req = build_request(config_.path);
-  const std::size_t n = api_->send(fd, req);
+  const std::size_t n = api_->send(fd, request_);
   // Requests are tiny; a short write here means the connection is dying.
-  if (n != req.size()) {
+  if (n != request_.size()) {
     api_->close(fd);
     on_closed(fd, CloseReason::kReset);
     return;

@@ -95,6 +95,7 @@ class LoadGen : public sim::Process {
   void on_closed(socklib::Fd fd, socklib::CloseReason reason);
 
   Config config_;
+  std::vector<std::uint8_t> request_;  ///< built once by start()
   Report report_;
   obs::Histogram* global_latency_{nullptr};  ///< all-window registry copy
   std::unique_ptr<socklib::SocketApi> api_;

@@ -226,7 +226,7 @@ sim::Cycles LinuxHost::syscall_cost(sim::Cycles base, int core, int lines) {
 }
 
 sim::EventHandle LinuxHost::start_timer(sim::SimTime delay,
-                                        std::function<void()> fn) {
+                                        net::TcpTimer fn) {
   // Kernel timers fire in softirq context (timer wheel on CPU 0).
   return softirqs_[0]->after(delay, 800, std::move(fn));
 }

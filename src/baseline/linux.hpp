@@ -148,7 +148,7 @@ class LinuxHost : public net::TcpEnv {
   // TcpEnv (the shared kernel stack's environment).
   sim::SimTime now() override { return sim_.now(); }
   sim::EventHandle start_timer(sim::SimTime delay,
-                               std::function<void()> fn) override;
+                               net::TcpTimer fn) override;
   void tx(net::PacketPtr segment, net::Ipv4Addr src,
           net::Ipv4Addr dst) override;
   std::uint32_t random_u32() override {

@@ -248,7 +248,7 @@ class Channel : public ChannelBase {
       });
       return;
     }
-    std::vector<T> batch = acquire_vec(n);
+    std::vector<T> batch = acquire_vec();
     sim::Cycles cost = 0;
     for (std::size_t k = 0; k < n; ++k) {
       Staged& s = staging_[staging_head_ + k];
@@ -284,14 +284,16 @@ class Channel : public ChannelBase {
   }
 
   /// Batch vectors cycle through a small pool so steady-state delivery —
-  /// including the batch-handler path — never touches the allocator.
-  std::vector<T> acquire_vec(std::size_t n) {
+  /// including the batch-handler path — never touches the allocator. Each
+  /// is sized for the largest batch once, so a pooled vector never regrows
+  /// when a bigger burst follows a smaller one.
+  std::vector<T> acquire_vec() {
     std::vector<T> v;
     if (!vec_pool_.empty()) {
       v = std::move(vec_pool_.back());
       vec_pool_.pop_back();
     }
-    v.reserve(n);
+    v.reserve(kBatchBudget);
     return v;
   }
 

@@ -62,7 +62,21 @@ void IpLayer::send(net::PacketPtr payload, net::IpProto proto,
       !payload->tso &&
       payload->size() + net::Ipv4Header::kSize > net::kEthernetMtu;
 
-  auto emit = [this](net::PacketPtr ip_pkt, net::MacAddr dst_mac) {
+  // An ARP hit (the data-path case) transmits directly; only a miss pays
+  // for a queued callback.
+  if (const auto mac = arp_.lookup(dst)) {
+    transmit(hdr, needs_frag, std::move(payload), *mac);
+    return;
+  }
+  arp_.resolve(dst, [this, hdr, needs_frag, payload = std::move(payload)](
+                        net::MacAddr mac) mutable {
+    transmit(hdr, needs_frag, std::move(payload), mac);
+  });
+}
+
+void IpLayer::transmit(const net::Ipv4Header& hdr, bool needs_frag,
+                       net::PacketPtr payload, net::MacAddr dst_mac) {
+  auto emit = [this, dst_mac](net::PacketPtr ip_pkt) {
     net::EthernetHeader eth;
     eth.src = mac_;
     eth.dst = dst_mac;
@@ -70,20 +84,16 @@ void IpLayer::send(net::PacketPtr payload, net::IpProto proto,
     eth.encode(*ip_pkt);
     tx_frame_(std::move(ip_pkt));
   };
-
-  arp_.resolve(dst, [this, hdr, needs_frag, payload = std::move(payload),
-                     emit](net::MacAddr mac) mutable {
-    if (needs_frag) {
-      for (auto& frag : net::ipv4_fragment(hdr, *payload, net::kEthernetMtu)) {
-        emit(std::move(frag), mac);
-      }
-    } else {
-      const bool tso = payload->tso;
-      hdr.encode(*payload);
-      payload->tso = tso;
-      emit(std::move(payload), mac);
+  if (needs_frag) {
+    for (auto& frag : net::ipv4_fragment(hdr, *payload, net::kEthernetMtu)) {
+      emit(std::move(frag));
     }
-  });
+  } else {
+    const bool tso = payload->tso;
+    hdr.encode(*payload);
+    payload->tso = tso;
+    emit(std::move(payload));
+  }
 }
 
 std::optional<IpLayer::Decoded> IpLayer::rx_frame(
@@ -129,8 +139,10 @@ void TxBurst::flush() {
     proc_.post(rest, [] {});  // CPU time for packets 2..N of the burst
   }
   if (stage_.empty()) return;
-  auto burst = std::move(stage_);
-  stage_.clear();
+  // Take the burst out (emit_ may stage the next one, e.g. via loopback)
+  // and leave the spare's capacity behind, so staging never reallocates.
+  std::vector<StagedTx> burst = std::move(spare_);
+  burst.swap(stage_);
   for (auto& s : burst) {
     if (s.proto != net::IpProto::kUdp) continue;
     net::UdpHeader uh;
@@ -139,6 +151,8 @@ void TxBurst::flush() {
     uh.encode(*s.pkt, s.src, s.dst);
   }
   emit_(burst);
+  burst.clear();
+  spare_ = std::move(burst);
 }
 
 // ---------------------------------------------------------------------------
@@ -174,7 +188,7 @@ SingleComponentReplica::SingleComponentReplica(
 }
 
 sim::EventHandle SingleComponentReplica::start_timer(
-    sim::SimTime delay, std::function<void()> fn) {
+    sim::SimTime delay, net::TcpTimer fn) {
   return after(delay, 600, std::move(fn));
 }
 
@@ -205,23 +219,23 @@ void SingleComponentReplica::handle_frame_batch(
   // rx_batch call. Non-TCP traffic (UDP/ICMP, a rarity on the data path) is
   // dispatched inline; cross-protocol ordering within one delivery job has
   // no observable effect since virtual time is frozen for the whole burst.
-  std::vector<net::TcpStack::SegmentArrival> segs;
-  segs.reserve(frames.size());
+  rx_segs_.clear();
   for (auto& f : frames) {
     auto decoded = ip_.rx_frame(f);
     if (!decoded) continue;
     if (decoded->hdr.proto == net::IpProto::kTcp) {
       if (!pf_.accept_packet(decoded->hdr, *decoded->payload)) continue;
-      segs.push_back({decoded->hdr.src, decoded->hdr.dst,
-                      std::move(decoded->payload)});
+      rx_segs_.push_back({decoded->hdr.src, decoded->hdr.dst,
+                          std::move(decoded->payload)});
     } else {
       handle_ip(decoded->hdr, std::move(decoded->payload));
     }
   }
   const auto ep = epoch();
-  tcp_stack_.rx_batch(std::move(segs), [this, ep] {
+  tcp_stack_.rx_batch(std::move(rx_segs_), [this, ep] {
     return !crashed() && epoch() == ep;
   });
+  rx_segs_.clear();  // drops segments a mid-batch crash left unconsumed
 }
 
 void SingleComponentReplica::handle_ip(const net::Ipv4Header& hdr,
@@ -266,7 +280,7 @@ void SingleComponentReplica::reset_after_restart(Component) {
   tcp_stack_.destroy_all_state();
   ip_.reset();
   udp_.clear();
-  pf_.clear();
+  // pf_ keeps its rules: they are configuration, not soft state.
   rerandomize_layout();  // a fresh process image -> fresh ASLR layout
 }
 
@@ -284,7 +298,7 @@ TcpComponent::TcpComponent(sim::Simulator& sim, MultiComponentReplica& owner,
       tcp_stack_(*this, ip, cfg) {}
 
 sim::EventHandle TcpComponent::start_timer(sim::SimTime delay,
-                                           std::function<void()> fn) {
+                                           net::TcpTimer fn) {
   return after(delay, 600, std::move(fn));
 }
 
@@ -474,8 +488,7 @@ void MultiComponentReplica::reset_after_restart(Component which) {
       ip_to_udp_->rebind(*udp_proc_);
       break;
     case Component::kFilter:
-      pf_proc_->filter().clear();
-      break;
+      break;  // the rules are configuration: they survive the restart
   }
 }
 

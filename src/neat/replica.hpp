@@ -74,6 +74,11 @@ class IpLayer {
   void reset();
 
  private:
+  /// Encapsulate an ARP-resolved datagram (fragmenting if needed) and
+  /// hand the frames to tx_frame_.
+  void transmit(const net::Ipv4Header& hdr, bool needs_frag,
+                net::PacketPtr payload, net::MacAddr dst_mac);
+
   net::MacAddr mac_;
   net::Ipv4Addr ip_;
   FrameTx tx_frame_;
@@ -208,6 +213,7 @@ class TxBurst {
   sim::Process& proc_;
   Emit emit_;
   std::vector<StagedTx> stage_;
+  std::vector<StagedTx> spare_;  ///< emptied burst, kept for its capacity
   sim::Cycles rest_cost_{0};  ///< cost of staged packets after the first
   bool armed_{false};         ///< a flush job is already queued
 };
@@ -243,7 +249,7 @@ class SingleComponentReplica final : public sim::Process,
   // TcpEnv
   sim::SimTime now() override { return sim().now(); }
   sim::EventHandle start_timer(sim::SimTime delay,
-                               std::function<void()> fn) override;
+                               net::TcpTimer fn) override;
   void tx(net::PacketPtr segment, net::Ipv4Addr src,
           net::Ipv4Addr dst) override;
   std::uint32_t random_u32() override {
@@ -273,6 +279,9 @@ class SingleComponentReplica final : public sim::Process,
   net::UdpMux udp_;
   net::PacketFilter pf_;
   TxBurst egress_{*this, [this](std::span<StagedTx> b) { emit(b); }};
+  /// TCP segments of the RX batch being handled; reused across batches so
+  /// its capacity outlives each one.
+  std::vector<net::TcpStack::SegmentArrival> rx_segs_;
 };
 
 // ---------------------------------------------------------------------------
@@ -293,7 +302,7 @@ class TcpComponent final : public sim::Process, public net::TcpEnv {
   // TcpEnv
   sim::SimTime now() override { return sim().now(); }
   sim::EventHandle start_timer(sim::SimTime delay,
-                               std::function<void()> fn) override;
+                               net::TcpTimer fn) override;
   void tx(net::PacketPtr segment, net::Ipv4Addr src,
           net::Ipv4Addr dst) override;
   std::uint32_t random_u32() override {
@@ -361,14 +370,12 @@ class UdpComponent final : public sim::Process {
   TxBurst egress_;
 };
 
-/// The packet-filter process (stateless rules, reloaded on restart).
+/// The packet-filter process. Its rules are configuration, so they
+/// survive a crash and restart of the process.
 class FilterComponent final : public sim::Process {
  public:
   FilterComponent(sim::Simulator& sim, std::string name);
   [[nodiscard]] net::PacketFilter& filter() { return pf_; }
-
- protected:
-  void on_restart() override { /* rules are config: reloaded by owner */ }
 
  private:
   net::PacketFilter pf_;

@@ -12,9 +12,10 @@
 // processes never share a packet across HwThreads concurrently (the sim is
 // single-threaded; real NEaT pins each replica to a core), so the count
 // needs no atomics and no control block. Reused packets are
-// indistinguishable from fresh ones — same size, same headroom, zeroed,
-// metadata reset. Without an installed pool every packet is plain heap
-// (bare unit tests) and the last release deletes it.
+// indistinguishable from fresh ones — same size, same headroom, zeroed
+// (make_uninit skips only the zero-fill), metadata reset. Without an
+// installed pool every packet is plain heap (bare unit tests) and the last
+// release deletes it.
 #pragma once
 
 #include <array>
@@ -169,22 +170,19 @@ class Packet {
  public:
   static constexpr std::size_t kDefaultHeadroom = 64;
 
-  /// Allocate with `payload` bytes of content and room to prepend headers.
-  /// Served from the installed PacketPool when one is in scope.
+  /// Allocate with `payload` zero bytes of content and room to prepend
+  /// headers. Served from the installed PacketPool when one is in scope.
   [[nodiscard]] static PacketPtr make(std::size_t payload,
                                       std::size_t headroom = kDefaultHeadroom) {
-    const std::size_t need = headroom + payload;
-    if (const auto* pool = detail::current_pool()) {
-      if (Packet* p = (*pool)->try_take(need)) {
-        p->reinit(need, headroom);
-        return PacketRef::adopt(p);
-      }
-      auto& core = (*pool)->stats;
-      ++core.fresh;
-      if ((*pool)->fresh_ctr != nullptr) (*pool)->fresh_ctr->inc();
-      return PacketRef::adopt(new Packet(need, headroom, *pool));
-    }
-    return PacketRef::adopt(new Packet(payload, headroom));
+    return allocate(payload, headroom, /*zero=*/true);
+  }
+
+  /// As make(), but the content bytes are left unspecified: for callers
+  /// that overwrite every one of them at once (a TCP segment copied out of
+  /// the send ring), so the buffer is not written twice.
+  [[nodiscard]] static PacketPtr make_uninit(
+      std::size_t payload, std::size_t headroom = kDefaultHeadroom) {
+    return allocate(payload, headroom, /*zero=*/false);
   }
 
   /// Allocate with content copied from `data`.
@@ -192,23 +190,21 @@ class Packet {
                                     std::size_t headroom = kDefaultHeadroom) {
     auto p = make(data.size(), headroom);
     if (!data.empty()) {
-      std::memcpy(p->buf_.data() + p->head_, data.data(), data.size());
+      std::memcpy(p->buf_.get() + p->head_, data.data(), data.size());
     }
     return p;
   }
 
-  /// Plain-heap packet (no pool in scope).
-  Packet(std::size_t payload, std::size_t headroom)
-      : buf_(headroom + payload), head_(headroom) {}
-
-  /// Fresh pooled packet: `need` = headroom + payload, capacity rounded up
-  /// to the bucket size so reinit() after recycling never reallocates.
+  /// Fresh packet of `need` = headroom + payload bytes; plain heap when
+  /// `core` is null. A pooled one gets its capacity rounded up to the
+  /// bucket size, so reinit() after recycling never reallocates.
   Packet(std::size_t need, std::size_t headroom,
-         std::shared_ptr<detail::PoolCore> core)
-      : head_(headroom), core_(std::move(core)) {
+         std::shared_ptr<detail::PoolCore> core, bool zero)
+      : cap_(need), len_(need), head_(headroom), core_(std::move(core)) {
     const int b = detail::PoolCore::bucket_for(need);
-    if (b >= 0) buf_.reserve(detail::PoolCore::kMinBytes << b);
-    buf_.assign(need, 0);
+    if (core_ && b >= 0) cap_ = detail::PoolCore::kMinBytes << b;
+    buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(cap_);
+    if (zero) std::memset(buf_.get(), 0, need);
   }
 
   Packet(const Packet&) = delete;
@@ -221,7 +217,7 @@ class Packet {
   [[nodiscard]] PacketPtr clone() const {
     auto p = make(size(), head_);
     if (size() > 0) {
-      std::memcpy(p->buf_.data() + p->head_, buf_.data() + head_, size());
+      std::memcpy(p->buf_.get() + p->head_, buf_.get() + head_, size());
     }
     p->rx_queue = rx_queue;
     p->tso = tso;
@@ -229,26 +225,26 @@ class Packet {
     return p;
   }
 
-  [[nodiscard]] std::size_t size() const { return buf_.size() - head_; }
+  [[nodiscard]] std::size_t size() const { return len_ - head_; }
 
   [[nodiscard]] std::span<std::uint8_t> bytes() {
-    return {buf_.data() + head_, size()};
+    return {buf_.get() + head_, size()};
   }
   [[nodiscard]] std::span<const std::uint8_t> bytes() const {
-    return {buf_.data() + head_, size()};
+    return {buf_.get() + head_, size()};
   }
 
   /// Prepend `n` bytes (push a header); returns the new front region.
   std::span<std::uint8_t> push(std::size_t n) {
     assert(head_ >= n && "insufficient headroom");
     head_ -= n;
-    return {buf_.data() + head_, n};
+    return {buf_.get() + head_, n};
   }
 
   /// Consume `n` bytes from the front (pop a header); returns them.
   std::span<const std::uint8_t> pull(std::size_t n) {
     assert(size() >= n && "pulling past end of packet");
-    auto r = std::span<const std::uint8_t>{buf_.data() + head_, n};
+    auto r = std::span<const std::uint8_t>{buf_.get() + head_, n};
     head_ += n;
     return r;
   }
@@ -256,7 +252,7 @@ class Packet {
   /// Trim the packet to `n` bytes of content (drop trailing padding).
   void truncate(std::size_t n) {
     assert(n <= size());
-    buf_.resize(head_ + n);
+    len_ = head_ + n;
   }
 
   /// Live references to this packet (diagnostics / property tests).
@@ -276,11 +272,30 @@ class Packet {
   friend class PacketRef;
   friend struct detail::PoolCore;
 
+  /// Shared body of make() and make_uninit().
+  [[nodiscard]] static PacketPtr allocate(std::size_t payload,
+                                          std::size_t headroom, bool zero) {
+    const std::size_t need = headroom + payload;
+    if (const auto* pool = detail::current_pool()) {
+      if (Packet* p = (*pool)->try_take(need)) {
+        p->reinit(need, headroom, zero);
+        return PacketRef::adopt(p);
+      }
+      auto& core = (*pool)->stats;
+      ++core.fresh;
+      if ((*pool)->fresh_ctr != nullptr) (*pool)->fresh_ctr->inc();
+      return PacketRef::adopt(new Packet(need, headroom, *pool, zero));
+    }
+    return PacketRef::adopt(new Packet(need, headroom, nullptr, zero));
+  }
+
   /// Reset a recycled packet to fresh-allocation state. The buffer
   /// capacity is at least the bucket size (invariant from the pooled
-  /// constructor), so assign() never reallocates.
-  void reinit(std::size_t need, std::size_t headroom) {
-    buf_.assign(need, 0);
+  /// constructor), so it is never reallocated.
+  void reinit(std::size_t need, std::size_t headroom, bool zero) {
+    assert(need <= cap_);
+    if (zero) std::memset(buf_.get(), 0, need);
+    len_ = need;
     head_ = headroom;
     refs_ = 1;
     rx_queue = -1;
@@ -288,14 +303,16 @@ class Packet {
     nic_rx_time = 0;
   }
 
-  std::vector<std::uint8_t> buf_;
+  std::unique_ptr<std::uint8_t[]> buf_;
+  std::size_t cap_;   ///< bytes allocated
+  std::size_t len_;   ///< bytes in use: headroom + content
   std::size_t head_;
   std::uint32_t refs_{1};  ///< non-atomic: single-threaded ownership
   std::shared_ptr<detail::PoolCore> core_;
 };
 
 inline bool detail::PoolCore::give_packet(Packet* p) {
-  const int b = bucket_of_capacity(p->buf_.capacity());
+  const int b = bucket_of_capacity(p->cap_);
   if (b < 0 || free[static_cast<std::size_t>(b)].size() >= kMaxPerBucket) {
     ++stats.dropped_full;
     return false;  // caller deletes

@@ -624,7 +624,9 @@ void TcpSocket::try_output() {
 
 void TcpSocket::emit_segment(std::uint32_t seq, std::size_t len, bool fin,
                              bool syn, bool force_ack) {
-  auto pkt = Packet::make(len);
+  // Every content byte is copied from the send ring below and every header
+  // byte is written by its encoder: no zero-fill needed.
+  auto pkt = Packet::make_uninit(len);
   if (len > 0) {
     const std::size_t off = seq - snd_una_;
     const std::size_t got = send_ring_.peek_at(off, pkt->bytes());
@@ -677,10 +679,9 @@ void TcpSocket::schedule_ack(std::size_t new_bytes) {
     return;
   }
   if (ack_timer_.pending()) return;
-  auto wp = weak_from_this();
-  ack_timer_ = stack_.env().start_timer(cfg_.delayed_ack, [wp] {
-    if (auto sp = wp.lock()) sp->send_ack_now();
-  });
+  ack_timer_ = stack_.env().start_timer(
+      cfg_.delayed_ack,
+      {weak_from_this(), [](TcpSocket& s) { s.send_ack_now(); }});
 }
 
 void TcpSocket::arm_rto() {
@@ -692,10 +693,9 @@ void TcpSocket::arm_rto() {
   if (rto_timer_.pending() && rto_fire_at_ <= rto_deadline_) return;
   rto_timer_.cancel();
   rto_fire_at_ = rto_deadline_;
-  auto wp = weak_from_this();
-  rto_timer_ = stack_.env().start_timer(rto_deadline_ - now, [wp] {
-    if (auto sp = wp.lock()) sp->rto_tick();
-  });
+  rto_timer_ = stack_.env().start_timer(
+      rto_deadline_ - now,
+      {weak_from_this(), [](TcpSocket& s) { s.rto_tick(); }});
 }
 
 void TcpSocket::disarm_rto() { rto_deadline_ = 0; }
@@ -706,10 +706,9 @@ void TcpSocket::rto_tick() {
   if (now < rto_deadline_) {
     // Re-armed since this event was scheduled: sleep the remainder.
     rto_fire_at_ = rto_deadline_;
-    auto wp = weak_from_this();
-    rto_timer_ = stack_.env().start_timer(rto_deadline_ - now, [wp] {
-      if (auto sp = wp.lock()) sp->rto_tick();
-    });
+    rto_timer_ = stack_.env().start_timer(
+        rto_deadline_ - now,
+        {weak_from_this(), [](TcpSocket& s) { s.rto_tick(); }});
     return;
   }
   rto_deadline_ = 0;
@@ -788,10 +787,10 @@ void TcpSocket::enter_time_wait() {
   ooo_.clear();
   ooo_bytes_ = 0;
   time_wait_timer_.cancel();
-  auto wp = weak_from_this();
-  time_wait_timer_ = stack_.env().start_timer(cfg_.time_wait, [wp] {
-    if (auto sp = wp.lock()) sp->enter_closed(TcpCloseReason::kNormal);
-  });
+  time_wait_timer_ = stack_.env().start_timer(
+      cfg_.time_wait, {weak_from_this(), [](TcpSocket& s) {
+                         s.enter_closed(TcpCloseReason::kNormal);
+                       }});
 }
 
 void TcpSocket::enter_closed(TcpCloseReason reason) {

@@ -156,6 +156,24 @@ inline constexpr std::array<std::uint16_t, 8> kSynCookieMss{
     std::uint64_t secret, const FlowKey& flow, std::uint32_t client_isn,
     std::uint32_t cookie, std::uint32_t now_count);
 
+class TcpSocket;
+
+/// A TCP timer's callback: the socket, held weakly, and what to run on it
+/// if it still exists when the timer fires. A plain function pointer keeps
+/// it at 24 bytes, so it rides inline through every timer wrapper (a
+/// std::function holding the weak_ptr would allocate on every arm).
+class TcpTimer {
+ public:
+  using Fire = void (*)(TcpSocket&);
+  TcpTimer(std::weak_ptr<TcpSocket> sock, Fire fire)
+      : sock_(std::move(sock)), fire_(fire) {}
+  inline void operator()() const;
+
+ private:
+  std::weak_ptr<TcpSocket> sock_;
+  Fire fire_;
+};
+
 /// Host environment a TcpStack runs in; implemented by each containing
 /// component (replica process, kernel model, test fixture).
 class TcpEnv {
@@ -163,8 +181,7 @@ class TcpEnv {
   virtual ~TcpEnv() = default;
   [[nodiscard]] virtual sim::SimTime now() = 0;
   /// Start a cancellable timer in the component's context.
-  virtual sim::EventHandle start_timer(sim::SimTime delay,
-                                       std::function<void()> fn) = 0;
+  virtual sim::EventHandle start_timer(sim::SimTime delay, TcpTimer fn) = 0;
   /// Transmit a finished TCP segment towards IP.
   virtual void tx(PacketPtr segment, Ipv4Addr src, Ipv4Addr dst) = 0;
   /// Randomness for ISS and ephemeral ports.
@@ -368,6 +385,10 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
 };
 
 using TcpSocketPtr = std::shared_ptr<TcpSocket>;
+
+inline void TcpTimer::operator()() const {
+  if (auto sp = sock_.lock()) fire_(*sp);
+}
 
 /// A listening socket: SYN queue + accept queue.
 class TcpListener {

@@ -51,7 +51,7 @@ void Nic::add_flow_filter(const net::FlowKey& key, int queue) {
     // flow's filter out from under it.
     e->gen = ++filter_gen_;
     e->fin_seen = false;
-    touch_lru(key, *e);
+    touch_lru(*e);
     return;
   }
   if (flows_.size() >= params_.flow_table_capacity) evict_one_filter();
@@ -178,10 +178,10 @@ std::optional<int> Nic::flow_filter(const net::FlowKey& key) const {
   return std::nullopt;
 }
 
-void Nic::touch_lru(const net::FlowKey& key, FlowEntry& e) {
-  lru_.erase(e.lru_it);
-  lru_.push_front(key);
-  e.lru_it = lru_.begin();
+void Nic::touch_lru(FlowEntry& e) {
+  // Relink the entry's node at the front: no node is freed or allocated,
+  // and e.lru_it stays valid.
+  lru_.splice(lru_.begin(), lru_, e.lru_it);
 }
 
 std::optional<ParsedFlow> Nic::peek_flow(const net::Packet& frame,
@@ -276,7 +276,7 @@ void Nic::receive(net::PacketPtr frame) {
       ++stats_.rx_steered_filter;
       ++e->hits;
       e->last_hit = sim_.now();
-      touch_lru(flow->key, *e);
+      touch_lru(*e);
       if (params_.tracking_filters && flow->rst) {
         remove_flow_filter(flow->key);  // flow is gone; free the entry
         ++stats_.filters_retired;

@@ -259,8 +259,8 @@ class Nic {
   };
   net::FlowTable<FlowEntry> flows_;
   static_assert(net::FlowTable<FlowEntry>::slot_bytes() == 64);
-  /// Move `key`'s entry `e` (found by the caller) to the LRU front.
-  void touch_lru(const net::FlowKey& key, FlowEntry& e);
+  /// Move entry `e` (found by the caller) to the LRU front.
+  void touch_lru(FlowEntry& e);
   /// Flows whose filter was FIN-retired, remembered until the stored
   /// expiry time so straggler refault is suppressed (see NicParams::
   /// dead_flow_memory). Entries are erased by a scheduled sweep event; a

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/small_fn.hpp"
@@ -124,6 +125,12 @@ class Process {
   void became_idle();
   /// Called by HwThread when the poll grace expires.
   void suspend();
+  /// Park the callable of a post that waits out a wake-up, so the wake
+  /// event captures only the returned slot index (the callable itself
+  /// would push the event closure past SmallFn's inline budget).
+  [[nodiscard]] std::uint32_t park(SmallFn fn);
+  /// Take a parked callable back out; its slot is free again.
+  [[nodiscard]] SmallFn unpark(std::uint32_t slot);
 
   Simulator& sim_;
   std::string name_;
@@ -135,6 +142,12 @@ class Process {
   std::uint64_t epoch_{0};
   std::uint64_t backlog_{0};
   SimTime wake_deadline_{0};  // valid while run_state_ == kWaking
+  /// Wake-path slots (see park()). Each wake event owns its slot until it
+  /// fires, so a slot is freed exactly when the event would have destroyed
+  /// its captured callable — stale jobs from before a crash included,
+  /// whatever order they fire in relative to newer wakes.
+  std::vector<SmallFn> parked_;
+  std::vector<std::uint32_t> free_parked_;
 };
 
 }  // namespace neat::sim

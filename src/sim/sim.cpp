@@ -218,17 +218,35 @@ void Process::post(Cycles cost, SmallFn fn) {
       run_state_ = RunState::kWaking;
     }
     const auto epoch = epoch_;
+    const std::uint32_t slot = park(std::move(fn));
     sim_.queue().post_at(
-        wake_deadline_,
-        [this, epoch, cost, kernel_cost, fn = std::move(fn)]() mutable {
-          if (crashed_ || epoch_ != epoch) return;
+        wake_deadline_, [this, epoch, cost, kernel_cost, slot] {
+          SmallFn job = unpark(slot);
+          if (crashed_ || epoch_ != epoch) return;  // stale: `job` dies here
           run_state_ = RunState::kAwake;
-          thread_->submit(*this, cost, std::move(fn), kernel_cost);
+          thread_->submit(*this, cost, std::move(job), kernel_cost);
         });
     return;
   }
   run_state_ = RunState::kAwake;
   thread_->submit(*this, cost, std::move(fn));
+}
+
+std::uint32_t Process::park(SmallFn fn) {
+  if (free_parked_.empty()) {
+    parked_.push_back(std::move(fn));
+    return static_cast<std::uint32_t>(parked_.size() - 1);
+  }
+  const std::uint32_t slot = free_parked_.back();
+  free_parked_.pop_back();
+  parked_[slot] = std::move(fn);
+  return slot;
+}
+
+SmallFn Process::unpark(std::uint32_t slot) {
+  SmallFn fn = std::move(parked_[slot]);
+  free_parked_.push_back(slot);
+  return fn;
 }
 
 EventHandle Process::schedule_raw(SimTime delay, SmallFn fn) {

@@ -30,8 +30,10 @@ class SmallFnOf;
 template <typename R, typename... Args>
 class SmallFnOf<R(Args...)> {
  public:
-  /// Inline capture budget. Sized for the largest hot-path closure
-  /// (Process::post wake path: this + epoch + costs + a nested callable).
+  /// Inline capture budget. Sized for the largest hot-path closure (a
+  /// Process::after timer wrapper around a caller's capture). A SmallFn
+  /// nested in a closure never fits; the wake path parks its callable in
+  /// a process-owned slot instead (Process::park).
   static constexpr std::size_t kInlineSize = 80;
 
   SmallFnOf() = default;

@@ -284,7 +284,7 @@ class LossyWire final : public net::TcpEnv {
 
   sim::SimTime now() override { return sim_.now(); }
   sim::EventHandle start_timer(sim::SimTime delay,
-                               std::function<void()> fn) override {
+                               net::TcpTimer fn) override {
     return sim_.schedule(delay, std::move(fn));
   }
   std::uint32_t random_u32() override {
@@ -662,7 +662,7 @@ class BatchWire final : public net::TcpEnv {
 
   sim::SimTime now() override { return sim_.now(); }
   sim::EventHandle start_timer(sim::SimTime delay,
-                               std::function<void()> fn) override {
+                               net::TcpTimer fn) override {
     return sim_.schedule(delay, std::move(fn));
   }
   std::uint32_t random_u32() override {

@@ -202,6 +202,40 @@ TEST_F(ReplicaFixture, PacketFilterDropsMatchingUdp) {
   }
 }
 
+TEST_F(ReplicaFixture, PacketFilterRulesSurviveSupervisedRestart) {
+  for (bool multi : {false, true}) {
+    SCOPED_TRACE(multi ? "multi" : "single");
+    build(multi);
+    prepopulate();
+    auto& rep = server->replica(0);
+    net::FilterRule drop;
+    drop.action = net::FilterRule::Action::kDrop;
+    drop.proto = net::IpProto::kUdp;
+    drop.dst_port = 53;
+    rep.filter().add_rule(drop);
+
+    // Crash the process that holds the rules and let the supervisor's
+    // watchdog detect it and restart it.
+    const Component pf = multi ? Component::kFilter : Component::kWhole;
+    server->inject_crash(rep, pf);
+    ASSERT_TRUE(rep.component(pf)->crashed());
+    run(200 * sim::kMillisecond);
+    ASSERT_FALSE(rep.component(pf)->crashed());
+    ASSERT_EQ(server->supervisor().stats().restarts, 1u);
+
+    // The rules are configuration: the restart keeps them, and they bite.
+    EXPECT_EQ(rep.filter().rule_count(), 1u);
+    int got = 0;
+    rep.udp().bind(53, [&](net::UdpMux::Datagram) { ++got; });
+    rep.udp().bind(54, [&](net::UdpMux::Datagram) { ++got; });
+    send_udp(9999, 53, 32);  // dropped
+    send_udp(9999, 54, 32);  // passes (different port)
+    run();
+    EXPECT_EQ(got, 1);
+    EXPECT_EQ(rep.filter().rules()[0].hits, 1u);
+  }
+}
+
 TEST_F(ReplicaFixture, UdpBurstLeavesInOrderForTwoJobs) {
   for (bool multi : {false, true}) {
     SCOPED_TRACE(multi ? "multi" : "single");

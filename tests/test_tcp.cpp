@@ -36,7 +36,7 @@ class WireEnv final : public TcpEnv {
 
   sim::SimTime now() override { return sim_.now(); }
   sim::EventHandle start_timer(sim::SimTime delay,
-                               std::function<void()> fn) override {
+                               TcpTimer fn) override {
     return sim_.schedule(delay, std::move(fn));
   }
   std::uint32_t random_u32() override {
